@@ -20,16 +20,16 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .coeffs import ModelError, SignReport, build_model, make_split, p_minus
-from .expr import ExprError, compile_fn, parse
-from .fixtures import FIXTURES, get_fixture
+from .coeffs import SignReport, p_minus
+from .expr import compile_fn  # noqa: F401  -- perfbench's tracer test patches and restores cli.compile_fn
+from .fixtures import FIXTURES, Fixture, get_fixture
 from .kamenev import (
     Check33fReport,
-    GeometricGrid,
     LimsupPolicy,
     TheoremReport,
     Verdict,
@@ -128,147 +128,88 @@ def _write_trajectory_csv(path: str, reports) -> None:
                                      "" if traj.alpha is None else repr(float(traj.alpha))])
 
 
-class _Problem:
-    """Resolved inputs shared by check/verify/sweep: model sources, params,
-    fixture extras (override, split, grid, breakpoints)."""
-
-    def __init__(self, args, need_sources=True):
-        self.params = _parse_params(getattr(args, "param", None))
-        self.fixture = None
-        if getattr(args, "fixture", None):
-            self.fixture = get_fixture(args.fixture)
-            self.p_src = self.fixture.p_src
-            self.q_src = self.fixture.q_src
-            self.r_src = self.fixture.r_src
-            self.t0 = self.fixture.t0
-            self.params = self.fixture.params_with(self.params)
-            self.d_src = self.fixture.d_src
-            self.split_srcs = self.fixture.split_srcs
-        else:
-            if need_sources and (args.p is None or args.q is None or args.r is None):
-                raise ValueError("--p, --q, --r are required unless --fixture is given")
-            self.p_src = args.p
-            self.q_src = args.q
-            self.r_src = args.r
-            self.t0 = args.t0
-            self.d_src = getattr(args, "d_override", None)
-            p1 = getattr(args, "split_p1", None)
-            p2 = getattr(args, "split_p2", None)
-            self.split_srcs = (p1, p2) if (p1 is not None or p2 is not None) else None
-        if getattr(args, "d_override", None) and self.fixture:
-            self.d_src = args.d_override
-
-    def build_model(self):
-        return build_model(self.p_src, self.q_src, self.r_src, self.params, t0=self.t0)
-
-    def build_ode_model(self):
-        if self.fixture:
-            return self.fixture.build_ode_model(self.params)
-        return self.build_model()
-
-    def d_fn(self):
-        if not self.d_src:
-            return None
-        ast = parse(self.d_src, param_names=tuple(self.params))
-        return compile_fn(ast, self.params)
-
-    def grid(self, args) -> GeometricGrid:
-        if self.fixture and args.grid_count is None and args.grid_ratio is None:
-            return self.fixture.grid()
-        ratio = args.grid_ratio if args.grid_ratio is not None else 1.15
-        count = args.grid_count if args.grid_count is not None else 120
-        return GeometricGrid(self.t0, ratio, count)
-
-    def breakpoints(self, t_end: float):
-        return self.fixture.breakpoints(t_end) if self.fixture else None
-
-    def feature_windows(self, t_end: float):
-        return self.fixture.feature_windows(t_end) if self.fixture else None
-
-    def split_for(self, model):
-        if self.split_srcs is None:
-            return make_split(model)
-        return make_split(model, p1_src=self.split_srcs[0], p2_src=self.split_srcs[1])
-
-    def config(self, extra: dict) -> dict:
-        cfg = {
-            "fixture": self.fixture.name if self.fixture else None,
-            "p": self.p_src,
-            "q": self.q_src,
-            "r": self.r_src,
-            "t0": self.t0,
-            "params": dict(sorted(self.params.items())),
-            "d_override": self.d_src,
-            "split": list(self.split_srcs) if self.split_srcs else None,
-        }
-        cfg.update(extra)
-        return cfg
+# Fixture fields and the flags that override them
+_FIELD_FLAGS = (("d_src", "d_override"), ("alpha", "alpha"), ("alpha33", "alpha33"),
+                ("grid_ratio", "grid_ratio"), ("grid_count", "grid_count"))
 
 
-def _alphas(args, problem) -> tuple:
-    """Base alpha (THM31/THM32) and the alpha used for THM33."""
-    if args.alpha is not None:
-        base = args.alpha
-    elif problem.fixture:
-        base = problem.fixture.alpha
+def _fixture(args, params: dict) -> Fixture:
+    """The one problem a command works on: the named fixture with ``params``
+    as overrides, or an unnamed one built from the raw sources.  The
+    command's D, alpha and grid flags replace the matching fields."""
+    if args.fixture:
+        fixture = get_fixture(args.fixture)
+        fixture = replace(fixture, defaults=tuple(fixture.params_with(params).items()))
+    elif args.p is None or args.q is None or args.r is None:
+        raise ValueError("--p, --q, --r are required unless --fixture is given")
     else:
-        base = 1.0
-    if getattr(args, "alpha33", None) is not None:
-        a33 = args.alpha33
-    elif args.alpha is not None and args.alpha > 1.0:
-        a33 = args.alpha
-    elif problem.fixture:
-        a33 = problem.fixture.alpha33
-    else:
-        a33 = 2.0
-    return base, a33
+        split = (getattr(args, "split_p1", None), getattr(args, "split_p2", None))
+        fixture = Fixture(None, "command-line sources", args.p, args.q, args.r,
+                          defaults=tuple(params.items()), t0=args.t0,
+                          split_srcs=None if split == (None, None) else split)
+    flags = {name: getattr(args, flag, None) for name, flag in _FIELD_FLAGS}
+    if flags["alpha33"] is None and flags["alpha"] is not None and flags["alpha"] > 1.0:
+        flags["alpha33"] = flags["alpha"]
+    return replace(fixture, **{name: v for name, v in flags.items() if v is not None})
+
+
+def _policy(args) -> LimsupPolicy:
+    flags = {name: getattr(args, name) for name in ("theta_scale", "growth_rho")}
+    return LimsupPolicy(**{name: v for name, v in flags.items() if v is not None})
+
+
+def _config(fixture: Fixture, extra: dict) -> dict:
+    cfg = {
+        "fixture": fixture.name,
+        "p": fixture.p_src,
+        "q": fixture.q_src,
+        "r": fixture.r_src,
+        "t0": fixture.t0,
+        "params": dict(sorted(fixture.defaults)),
+        "d_override": fixture.d_src,
+        "split": list(fixture.split_srcs) if fixture.split_srcs else None,
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def _theorem_reports(fixture: Fixture, model, theorems, grid, policy) -> list:
+    """One report per theorem; the single dispatch behind `check` and `sweep`."""
+    d_fn = fixture.d_fn(model.params)
+    breakpoints = fixture.breakpoints(grid.t_end)
+    return [
+        theorem_verdict(
+            fixture.build_split(model) if theorem == "THM33" else model,
+            theorem,
+            alpha=fixture.alpha_for(theorem),
+            grid=grid,
+            policy=policy,
+            d_fn=d_fn,
+            breakpoints=breakpoints,
+        )
+        for theorem in theorems
+    ]
 
 
 def cmd_check(args) -> int:
-    problem = _Problem(args)
-    model = problem.build_model()
-    theorems = _parse_theorems(
-        args.theorem, problem.fixture.theorems if problem.fixture else _CANONICAL_ORDER
-    )
-    grid = problem.grid(args)
-    policy = LimsupPolicy(
-        theta_scale=args.theta_scale if args.theta_scale is not None else 1e3,
-        growth_rho=args.growth_rho if args.growth_rho is not None else 2.0,
-    )
-    base_alpha, alpha33 = _alphas(args, problem)
-    d_fn = problem.d_fn()
-    breakpoints = problem.breakpoints(grid.t_end)
-    reports = []
-    for theorem in theorems:
-        if theorem == "THM33":
-            target = problem.split_for(model)
-            alpha = alpha33
-        else:
-            target = model
-            alpha = None if theorem == "LAZER" else base_alpha
-        reports.append(
-            theorem_verdict(
-                target,
-                theorem,
-                alpha=alpha,
-                grid=grid,
-                policy=policy,
-                d_fn=d_fn,
-                breakpoints=breakpoints,
-            )
-        )
+    fixture = _fixture(args, _parse_params(args.param))
+    theorems = _parse_theorems(args.theorem, fixture.theorems)
+    grid = fixture.grid()
+    policy = _policy(args)
+    reports = _theorem_reports(fixture, fixture.build(), theorems, grid, policy)
     if args.csv:
         _write_trajectory_csv(args.csv, reports)
     payload = {
-        "config": problem.config(
+        "config": _config(
+            fixture,
             {
                 "command": "check",
                 "theorems": theorems,
-                "alpha": base_alpha,
-                "alpha33": alpha33,
+                "alpha": fixture.alpha,
+                "alpha33": fixture.alpha33,
                 "grid": grid.as_dict(),
                 "policy": policy.as_dict(),
-            }
+            },
         ),
         "theorem_reports": [_theorem_dict(r) for r in reports],
         "trajectories_ref": args.csv,
@@ -280,21 +221,21 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _Problem(args)
-    model = problem.build_ode_model()
+    fixture = _fixture(args, _parse_params(args.param))
     controls = OdeControls(
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
         h_max=args.h_max,
         blow_up=args.blow_up,
-        feature_windows=problem.feature_windows(args.tmax),
+        feature_windows=fixture.feature_windows(args.tmax),
     )
     report = oscillation_report(
-        model, args.tmax, n_random=args.combos, seed=args.seed, controls=controls,
+        fixture.build_ode_model(), args.tmax, n_random=args.combos, seed=args.seed, controls=controls,
         min_zeros=args.min_zeros,
     )
     payload = {
-        "config": problem.config(
+        "config": _config(
+            fixture,
             {
                 "command": "verify",
                 "t_max": args.tmax,
@@ -332,6 +273,8 @@ def _parse_sweep_spec(spec: str):
     if len(parts) != 3:
         raise ValueError(f"--sweep expects name=start:stop:step, got {spec!r}")
     start, stop, step = (float(x) for x in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"sweep range must be finite in {spec!r}")
     if step <= 0:
         raise ValueError(f"sweep step must be positive in {spec!r}")
     values = []
@@ -348,39 +291,28 @@ def _parse_sweep_spec(spec: str):
 
 
 def _sweep_point(payload):
-    (p_src, q_src, r_src, t0, params, theorems, base_alpha, alpha33, grid_dict,
-     d_src, split_srcs, combo, tmax, blow_up) = payload
-    model = build_model(p_src, q_src, r_src, params, t0=t0)
-    grid = GeometricGrid(**grid_dict)
-    d_fn = None
-    if d_src:
-        d_fn = compile_fn(parse(d_src, param_names=tuple(params)), params)
-    row = []
-    for theorem in theorems:
-        if theorem == "THM33":
-            target = make_split(model, p1_src=split_srcs[0], p2_src=split_srcs[1]) if split_srcs else make_split(model)
-            alpha = alpha33
-        else:
-            target = model
-            alpha = None if theorem == "LAZER" else base_alpha
-        rep = theorem_verdict(target, theorem, alpha=alpha, grid=grid, d_fn=d_fn)
-        row.append(rep.overall)
-    traj = integrate_third_order(model, combo, tmax, OdeControls(blow_up=blow_up))
-    row.append(str(len(count_zeros(traj))))
+    fixture, params, theorems, grid, policy, combo, tmax, blow_up = payload
+    model = fixture.build(params)
+    row = [rep.overall for rep in _theorem_reports(fixture, model, theorems, grid, policy)]
+    # the zero count integrates the same equation as `verify`
+    ode_model = fixture.build_ode_model(params) if fixture.ode_r_src else model
+    controls = OdeControls(blow_up=blow_up, feature_windows=fixture.feature_windows(tmax))
+    row.append(str(len(count_zeros(integrate_third_order(ode_model, combo, tmax, controls)))))
     return row
 
 
 def cmd_sweep(args) -> int:
-    problem = _Problem(args)
-    theorems = _parse_theorems(
-        args.theorem, problem.fixture.theorems if problem.fixture else _CANONICAL_ORDER
-    )
-    base_alpha, alpha33 = _alphas(args, problem)
-    grid = problem.grid(args)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     sweeps = [_parse_sweep_spec(s) for s in args.sweep]
-    for name, _ in sweeps:
-        if problem.fixture and name not in problem.params:
-            raise ValueError(f"sweep parameter {name!r} unknown to fixture {problem.fixture.name}")
+    # swept names join the parameters, so a raw-source sweep may name a
+    # parameter that no --param binds, and a fixture rejects unknown ones
+    params = _parse_params(args.param)
+    params.update((name, values[0]) for name, values in sweeps)
+    fixture = _fixture(args, params)
+    theorems = _parse_theorems(args.theorem, fixture.theorems)
+    grid = fixture.grid()
+    policy = _policy(args)
     rng = np.random.default_rng(args.seed)
     v = rng.normal(size=3)
     combo = tuple(float(x) for x in v / np.linalg.norm(v))
@@ -388,16 +320,9 @@ def cmd_sweep(args) -> int:
     points = [()]
     for _, values in sweeps:
         points = [prev + (val,) for prev in points for val in values]
-    payloads = []
-    for point in points:
-        params = dict(problem.params)
-        for (name, _), val in zip(sweeps, point):
-            params[name] = val
-        payloads.append(
-            (problem.p_src, problem.q_src, problem.r_src, problem.t0, params,
-             tuple(theorems), base_alpha, alpha33, grid.as_dict(), problem.d_src,
-             problem.split_srcs, combo, args.tmax, args.blow_up)
-        )
+    names = [name for name, _ in sweeps]
+    payloads = [(fixture, dict(zip(names, point)), theorems, grid, policy, combo, args.tmax, args.blow_up)
+                for point in points]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, payloads))
@@ -406,9 +331,7 @@ def cmd_sweep(args) -> int:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    header = [name for name, _ in sweeps]
-    header += [f"{t.lower()}_overall" for t in theorems]
-    header += ["zero_count"]
+    header = names + [f"{t.lower()}_overall" for t in theorems] + ["zero_count"]
     writer.writerow(header)
     for point, row in zip(points, rows):
         writer.writerow([repr(float(v)) for v in point] + row)
@@ -616,7 +539,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ExprError, ModelError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -76,9 +76,13 @@ def build_model(
     """Parse the three coefficient sources and differentiate p symbolically.
 
     The four resulting expressions are probed on a jittered grid over
-    [t0, t0 + 1e4]; any domain error or non-finite value is a ModelError.
+    [t0, t0 + 1e4]; a non-finite parameter, a domain error or a non-finite
+    value is a ModelError.
     """
     params = dict(params or {})
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ModelError(f"parameter {name}={value} is not finite")
     names = tuple(params)
     try:
         p = expr.parse(p_src, names)
@@ -92,7 +96,7 @@ def build_model(
     model.q_at = expr.compile_fn(q, params)
     model.r_at = expr.compile_fn(r, params)
     model.p_prime_at = expr.compile_fn(p_prime, params)
-    for t in sample_points(model.t0, n=validate_n):
+    for t in sample_points(model.t0, n=validate_n).tolist():
         for label, fn in (("p", model.p_at), ("q", model.q_at), ("r", model.r_at), ("p'", model.p_prime_at)):
             try:
                 v = fn(t)
@@ -256,7 +260,7 @@ def make_split(
     split = SplitModel(model, p1, p2)
     split.p1_at = expr.compile_fn(p1, model.params)
     split.p2_at = expr.compile_fn(p2, model.params)
-    for t in sample_points(model.t0, n=n_check):
+    for t in sample_points(model.t0, n=n_check).tolist():
         v1 = split.p1_at(t)
         v2 = split.p2_at(t)
         if v1 > 1e-12 or v2 > 1e-12:

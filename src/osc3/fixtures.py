@@ -4,7 +4,8 @@ Each fixture bundles sources for p, q, r together with the extras a fair
 evaluation needs: the intended minimum-function override where the
 coefficients were engineered so that D collapses to a stated closed form,
 quadrature breakpoints and integrator step windows for bump trains, and
-per-theorem alpha choices.
+per-theorem alpha choices.  The command line builds an unnamed fixture
+(name None) from raw sources, so every command works on one Fixture.
 
 The `example31` fixture keeps two r sources.  The plain one drops the
 correction term that the engineered coefficients carry, so its honest
@@ -18,7 +19,7 @@ verification path the actual engineered equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .coeffs import CoefficientModel, SplitModel, build_model, make_split
@@ -42,7 +43,7 @@ _P_BUMPS = (
 
 @dataclass(frozen=True)
 class Fixture:
-    name: str
+    name: str | None
     description: str
     p_src: str
     q_src: str
@@ -82,7 +83,7 @@ class Fixture:
         return make_split(model, p1_src=p1, p2_src=p2)
 
     def d_fn(self, overrides: dict | None = None) -> Callable[[float], float] | None:
-        if self.d_src is None:
+        if not self.d_src:
             return None
         params = self.params_with(overrides)
         ast = parse(self.d_src, param_names=tuple(params))

@@ -77,6 +77,12 @@ class OdeControls:
     renorm_threshold: float | None = 1e150  # None disables rescaling
     feature_windows: Sequence[tuple] | None = None  # [(lo, hi), ...] narrow active regions
 
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "h_max", "blow_up"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+
     def as_dict(self) -> dict:
         return {
             "rel_tol": self.rel_tol,
@@ -386,6 +392,8 @@ def integrate_third_order(
     controls: OdeControls | None = None,
 ) -> SolutionTrajectory:
     """Integrate one solution from state (phi, phi', phi'') at model.t0."""
+    if not t_max > model.t0:
+        raise ValueError(f"t_max={t_max} must exceed t0={model.t0}")
     controls = controls or OdeControls()
     ts, ys, _, scales, status, stats = _integrate_linear(
         model.p_at,
@@ -433,23 +441,17 @@ def state_at(traj: SolutionTrajectory, t: float, model: CoefficientModel | None 
     k = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
     t0, t1 = ts[k], ts[k + 1]
     y0, y1 = traj.states[k], traj.states[k + 1] * traj.scale_ratio(k)
-    h = t1 - t0
-    if h == 0.0:
+    if t1 - t0 == 0.0:
         return y0.copy()
-    s = (t - t0) / h
-    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
-    h01 = s * s * (3.0 - 2.0 * s)
-    h11 = s * s * (s - 1.0)
-    phi = h00 * y0[0] + h10 * h * y0[1] + h01 * y1[0] + h11 * h * y1[1]
-    dphi = h00 * y0[1] + h10 * h * y0[2] + h01 * y1[1] + h11 * h * y1[2]
+    phi = _hermite(t0, t1, y0[0], y0[1], y1[0], y1[1], t)
+    dphi = _hermite(t0, t1, y0[1], y0[2], y1[1], y1[2], t)
     if model is not None:
         def ddd(tt, y):
             return -(model.p_at(tt) * y[2] + model.q_at(tt) * y[1] + model.r_at(tt) * y[0])
 
-        d2a, d2b = ddd(t0, y0), ddd(t1, y1)
-        ddphi = h00 * y0[2] + h10 * h * d2a + h01 * y1[2] + h11 * h * d2b
+        ddphi = _hermite(t0, t1, y0[2], ddd(t0, y0), y1[2], ddd(t1, y1), t)
     else:
+        s = (t - t0) / (t1 - t0)
         ddphi = (1.0 - s) * y0[2] + s * y1[2]
     return np.array((phi, dphi, ddphi))
 
@@ -461,7 +463,9 @@ class ZeroRecord:
     bracket_hi: float
 
 
-def _hermite_phi(t0, t1, p0, d0, p1, d1, t):
+def _hermite(t0, t1, p0, d0, p1, d1, t):
+    """Cubic Hermite interpolant at t of values p0, p1 and slopes d0, d1
+    given at t0 and t1."""
     h = t1 - t0
     s = (t - t0) / h
     return (
@@ -495,7 +499,7 @@ def count_zeros(traj: SolutionTrajectory, zero_tol: float = 1e-9) -> list:
             if hi - lo <= zero_tol:
                 break
             mid = 0.5 * (lo + hi)
-            fm = _hermite_phi(a, b, fa, da, fb, db, mid)
+            fm = _hermite(a, b, fa, da, fb, db, mid)
             if flo * fm <= 0.0:
                 hi = mid
             else:
@@ -604,6 +608,8 @@ def oscillation_report(
 ) -> OscillationReport:
     """Integrate the fundamental basis plus seeded random unit combinations
     and classify each; evidence is declared if any solution oscillates."""
+    if n_random < 0:
+        raise ValueError(f"n_random must be nonnegative, got {n_random}")
     controls = controls or OdeControls()
     rng = np.random.default_rng(seed)
     runs = [(f"e{i+1}", init) for i, init in enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))]

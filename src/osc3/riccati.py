@@ -26,6 +26,7 @@ import numpy as np
 from .coeffs import CoefficientModel
 from .expr import ExprAst, compile_fn
 from .ode import BLOW_UP, COMPLETED, STEP_UNDERFLOW, OdeControls, SolutionTrajectory, StepStats, adaptive_rk
+from .ode import _hermite
 from .quad import integrate_adaptive
 
 AS_WRITTEN = "AS_WRITTEN"
@@ -83,16 +84,9 @@ class Riccati1Solution:
             raise ValueError(f"t={t!r} outside solution span [{ts[0]}, {ts[-1]}]")
         k = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
         t0, t1 = ts[k], ts[k + 1]
-        h = t1 - t0
-        if h == 0.0:
+        if t1 - t0 == 0.0:
             return float(self.y[k])
-        s = (t - t0) / h
-        return float(
-            (1.0 + 2.0 * s) * (1.0 - s) ** 2 * self.y[k]
-            + s * (1.0 - s) ** 2 * h * self.dy[k]
-            + s * s * (3.0 - 2.0 * s) * self.y[k + 1]
-            + s * s * (s - 1.0) * h * self.dy[k + 1]
-        )
+        return float(_hermite(t0, t1, self.y[k], self.dy[k], self.y[k + 1], self.dy[k + 1], t))
 
 
 def solve_riccati1(

@@ -15,6 +15,13 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
+def run_csv(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return list(csv.DictReader(out.splitlines()))
+
+
 class TestCheck:
     def test_lazer_fixture_all_apply(self, capsys):
         doc = run_json(capsys, ["check", "--fixture", "lazer"])
@@ -133,6 +140,32 @@ class TestSweep:
         assert main(argv + ["--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_verdicts_match_check_on_bump_train(self, capsys):
+        # sweep uses the fixture's quadrature breakpoints, as check does
+        argv = ["--fixture", "example32", "--theorem", "thm31", "--grid-count", "17"]
+        doc = run_json(capsys, ["check"] + argv)
+        assert doc["theorem_reports"][0]["overall"] == "DOES_NOT_APPLY"
+        rows = run_csv(capsys, ["sweep", "--sweep", "M=13:13:1", "--tmax", "6"] + argv)
+        assert rows[0]["thm31_overall"] == "DOES_NOT_APPLY"
+
+    def test_policy_flags_reach_the_verdicts(self, capsys):
+        argv = ["--p", "0", "--q", "0", "--r", "r0", "--param", "r0=1", "--theorem", "lazer",
+                "--grid-count", "20", "--theta-scale", "1e-6"]
+        doc = run_json(capsys, ["check"] + argv)
+        assert doc["theorem_reports"][0]["overall"] == "APPLIES"
+        rows = run_csv(capsys, ["sweep", "--sweep", "r0=1:1:1", "--tmax", "5"] + argv)
+        assert rows[0]["lazer_overall"] == "APPLIES"
+
+    def test_zero_count_integrates_the_verify_equation(self, capsys):
+        # example31's ODE r carries the correction term that its plain r drops
+        rows = run_csv(capsys, ["sweep", "--fixture", "example31", "--sweep", "beta=3:3:1",
+                                "--tmax", "8", "--seed", "0"])
+        doc = run_json(capsys, ["verify", "--fixture", "example31", "--param", "beta=3",
+                                "--tmax", "8", "--combos", "1", "--seed", "0"])
+        (combo,) = [s for s in doc["solutions"] if s["label"] == "combo1"]
+        assert combo["zero_count"] == 4
+        assert rows[0]["zero_count"] == "4"
+
     def test_bad_sweep_spec(self, capsys):
         code = main(["sweep", "--fixture", "lazer", "--sweep", "nope"])
         assert code == 2
@@ -167,12 +200,22 @@ class TestErrorPaths:
             ["check", "--p", "exp(t)", "--q", "0", "--r", "1"],
             ["check", "--fixture", "lazer", "--grid-count", "4"],
             ["verify", "--p", "M*t", "--q", "0", "--r", "1"],
+            ["check", "--p", "0", "--q", "0", "--r", "M", "--param", "M=nan"],
+            ["check", "--p", "0", "--q", "0", "--r", "M", "--param", "M=inf"],
+            ["verify", "--fixture", "lazer", "--tmax", "0.5"],
+            ["verify", "--fixture", "lazer", "--h-max", "0"],
+            ["verify", "--fixture", "lazer", "--rel-tol", "0"],
+            ["verify", "--fixture", "lazer", "--combos", "-1"],
+            ["sweep", "--p", "0", "--q", "0", "--r", "r0", "--sweep", "r0=1:1:1", "--jobs", "0"],
+            ["sweep", "--p", "0", "--q", "0", "--r", "r0", "--sweep", "r0=1:inf:1"],
+            ["sweep", "--p", "0", "--q", "0", "--r", "r0", "--sweep", "r0=1:1:1", "--tmax", "0.5"],
         ],
     )
     def test_config_errors_return_2(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert "np.float64" not in err and "Traceback" not in err
 
     def test_missing_sources(self, capsys):
         # no fixture and no p/q/r
