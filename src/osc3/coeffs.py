@@ -29,6 +29,7 @@ import numpy as np
 from . import expr
 
 _GOLDEN_FRAC = 0.6180339887498949  # (sqrt(5) - 1) / 2
+VALIDATE_N = 256  # build_model probes each coefficient at this many points
 
 
 class ModelError(ValueError):
@@ -70,8 +71,6 @@ def build_model(
     r_src: str,
     params: Mapping[str, float] | None = None,
     t0: float = 1.0,
-    *,
-    validate_n: int = 256,
 ) -> CoefficientModel:
     """Parse the three coefficient sources and differentiate p symbolically.
 
@@ -96,7 +95,7 @@ def build_model(
     model.q_at = expr.compile_fn(q, params)
     model.r_at = expr.compile_fn(r, params)
     model.p_prime_at = expr.compile_fn(p_prime, params)
-    for t in sample_points(model.t0, n=validate_n).tolist():
+    for t in sample_points(model.t0, n=VALIDATE_N).tolist():
         for label, fn in (("p", model.p_at), ("q", model.q_at), ("r", model.r_at), ("p'", model.p_prime_at)):
             try:
                 v = fn(t)

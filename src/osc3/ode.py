@@ -1,8 +1,10 @@
 """Direct integration of phi''' + p phi'' + q phi' + r phi = 0.
 
-The stepper is a Dormand-Prince 5(4) embedded pair with FSAL, step-size
-control on a mixed absolute/relative error norm, and a hard cap ``h_max`` on
-accepted steps so that stored samples are dense enough for zero counting.
+One stepper, ``_dopri``, serves both equations osc3 integrates: the linear
+third-order system here and the scalar Riccati equation in ``riccati``.  It
+is a Dormand-Prince 5(4) embedded pair with FSAL, step-size control on a
+mixed absolute/relative error norm, and a hard cap ``h_max`` on accepted
+steps so that stored samples are dense enough for zero counting.
 Between samples, phi is interpolated by a cubic Hermite polynomial built
 from the exact derivatives carried in the state (phi' and phi''), which
 keeps refined zero locations honest to well below the sample spacing.
@@ -28,32 +30,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .coeffs import CoefficientModel
-
-# Dormand-Prince 5(4) tableau
-_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-_E = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
 
 COMPLETED = "completed"
 BLOW_UP = "blow_up"
@@ -64,7 +45,6 @@ STEP_UNDERFLOW = "step_underflow"
 class StepStats:
     accepted: int = 0
     rejected: int = 0
-    max_step: float = 0.0
 
 
 @dataclass
@@ -123,100 +103,8 @@ class _StepLimiter:
         return h
 
 
-def adaptive_rk(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t0: float,
-    y0: np.ndarray,
-    t_max: float,
-    *,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-    h_max: float = 0.1,
-    blow_up: float = 1e30,
-    windows: Sequence[tuple] | None = None,
-    renorm_threshold: float | None = None,
-):
-    """Generic adaptive integrator; returns (ts, ys, dys, scales, status, stats).
-
-    ``dys`` holds the right-hand side at every stored node, which is what
-    cubic Hermite interpolation between nodes needs.  When
-    ``renorm_threshold`` is set the stored state is rescaled to unit norm
-    whenever it passes the threshold; this is only valid for right-hand
-    sides that are 1-homogeneous in y (linear equations).  ``scales[i]``
-    is the natural log of the factor relating stored sample i to the true
-    solution (true = stored * exp(scale)); all zeros with renormalization
-    off.
-    """
-    y = np.array(y0, dtype=float)
-    t = float(t0)
-    stats = StepStats()
-    limiter = _StepLimiter(windows) if windows else None
-    ts = [t]
-    ys = [y.copy()]
-    k1 = rhs(t, y)
-    dys = [k1.copy()]
-    log_scale = 0.0
-    scales = [0.0]
-    status = COMPLETED
-    h = min(h_max, 1e-2, max(t_max - t0, 1e-12))
-    k = [None] * 7
-    while t < t_max:
-        h = min(h, h_max, t_max - t)
-        if limiter is not None:
-            h = limiter.cap(t, h)
-        if h < 1e-14 * max(1.0, abs(t)):
-            status = STEP_UNDERFLOW
-            break
-        k[0] = k1
-        bad = False
-        for i in range(5):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-            k[i + 1] = rhs(t + _C[i] * h, yi)
-            if not np.all(np.isfinite(k[i + 1])):
-                bad = True
-                break
-        if not bad:
-            y_new = y + h * sum(b * k[j] for j, b in enumerate(_A[5]))
-            k[6] = rhs(t + h, y_new)
-            err_vec = h * sum(e * k[j] for j, e in enumerate(_E))
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
-            bad = not (np.all(np.isfinite(y_new)) and math.isfinite(err))
-        if bad:
-            stats.rejected += 1
-            h *= 0.2
-            continue
-        if err <= 1.0:
-            t += h
-            y = y_new
-            k1 = k[6]  # FSAL
-            ts.append(t)
-            ys.append(y.copy())
-            dys.append(k1.copy())
-            scales.append(log_scale)
-            stats.accepted += 1
-            stats.max_step = max(stats.max_step, h)
-            norm = float(np.max(np.abs(y)))
-            if renorm_threshold is not None:
-                if norm > renorm_threshold:
-                    y = y / norm
-                    k1 = k1 / norm
-                    log_scale += math.log(norm)
-            elif norm > blow_up:
-                status = BLOW_UP
-                break
-            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            stats.rejected += 1
-            fac = max(0.1, 0.9 * err ** -0.2)
-        h *= fac
-    return np.array(ts), np.array(ys), np.array(dys), np.array(scales), status, stats
-
-
-def _integrate_linear(
-    p_at,
-    q_at,
-    r_at,
+def _dopri(
+    deriv,
     t0: float,
     init,
     t_max: float,
@@ -225,14 +113,28 @@ def _integrate_linear(
     abs_tol: float,
     h_max: float,
     blow_up: float,
-    windows,
-    renorm_threshold,
+    windows=None,
+    renorm_threshold=None,
 ):
-    """Same stepper as :func:`adaptive_rk`, unrolled for the third order
-    linear system in plain floats.  The coefficient evaluations dominate
-    the cost, and this loop avoids paying numpy dispatch on 3-vectors on
-    top of them.  Returns (ts, ys, dys, scales, status, stats) with the
-    same meaning as adaptive_rk."""
+    """Dormand-Prince 5(4) on a state of up to three components, unrolled in
+    plain floats.  The coefficient evaluations dominate the cost, and this
+    loop avoids paying numpy dispatch on 3-vectors on top of them.
+
+    ``deriv(t, a, b, c)`` returns the right side as a 3-tuple.  A shorter
+    ``init`` is padded with zeros, which ``deriv`` must keep at zero
+    derivative; the error norm is the RMS over the ``len(init)`` given
+    components, and ``ys``/``dys`` keep only those columns.  A step with a
+    non-finite stage is rejected and retried at a fifth of its size.
+
+    Returns (ts, ys, dys, scales, status, stats).  ``dys`` holds the right
+    side at every stored node, which is what cubic Hermite interpolation
+    between nodes needs.  When ``renorm_threshold`` is set the stored state
+    is rescaled to unit norm whenever it passes the threshold; this is only
+    valid for right sides that are 1-homogeneous in the state (linear
+    equations).  ``scales[i]`` is the natural log of the factor relating
+    stored sample i to the true solution (true = stored * exp(scale)); all
+    zeros with renormalization off.
+    """
     a21 = 0.2
     a31, a32 = 3.0 / 40.0, 9.0 / 40.0
     a41, a42, a43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -246,17 +148,25 @@ def _integrate_linear(
     )
     a71, a73, a74, a75, a76 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
     c2, c3, c4, c5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-    e1, e3, e4, e5, e6, e7 = _E[0], _E[2], _E[3], _E[4], _E[5], _E[6]
+    # error weights, fifth minus fourth order (the second is zero)
+    e1, e3, e4, e5, e6, e7 = (
+        71.0 / 57600.0,
+        -71.0 / 16695.0,
+        71.0 / 1920.0,
+        -17253.0 / 339200.0,
+        22.0 / 525.0,
+        -1.0 / 40.0,
+    )
     isfinite = math.isfinite
 
-    ya, yb, yc = (float(v) for v in init)
+    dim = len(init)
+    ya, yb, yc = (float(v) for v in tuple(init) + (0.0,) * (3 - dim))
     t = float(t0)
     stats = StepStats()
     limiter = _StepLimiter(windows) if windows else None
     ts = [t]
     ys = [(ya, yb, yc)]
-    k1a, k1b = yb, yc
-    k1c = -(p_at(t) * yc + q_at(t) * yb + r_at(t) * ya)
+    k1a, k1b, k1c = deriv(t, ya, yb, yc)
     dys = [(k1a, k1b, k1c)]
     log_scale = 0.0
     scales = [0.0]
@@ -273,37 +183,31 @@ def _integrate_linear(
         sa = ya + h * (a21 * k1a)
         sb = yb + h * (a21 * k1b)
         sc = yc + h * (a21 * k1c)
-        k2a, k2b = sb, sc
-        k2c = -(p_at(tt) * sc + q_at(tt) * sb + r_at(tt) * sa)
+        k2a, k2b, k2c = deriv(tt, sa, sb, sc)
         tt = t + c3 * h
         sa = ya + h * (a31 * k1a + a32 * k2a)
         sb = yb + h * (a31 * k1b + a32 * k2b)
         sc = yc + h * (a31 * k1c + a32 * k2c)
-        k3a, k3b = sb, sc
-        k3c = -(p_at(tt) * sc + q_at(tt) * sb + r_at(tt) * sa)
+        k3a, k3b, k3c = deriv(tt, sa, sb, sc)
         tt = t + c4 * h
         sa = ya + h * (a41 * k1a + a42 * k2a + a43 * k3a)
         sb = yb + h * (a41 * k1b + a42 * k2b + a43 * k3b)
         sc = yc + h * (a41 * k1c + a42 * k2c + a43 * k3c)
-        k4a, k4b = sb, sc
-        k4c = -(p_at(tt) * sc + q_at(tt) * sb + r_at(tt) * sa)
+        k4a, k4b, k4c = deriv(tt, sa, sb, sc)
         tt = t + c5 * h
         sa = ya + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a)
         sb = yb + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b)
         sc = yc + h * (a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c)
-        k5a, k5b = sb, sc
-        k5c = -(p_at(tt) * sc + q_at(tt) * sb + r_at(tt) * sa)
+        k5a, k5b, k5c = deriv(tt, sa, sb, sc)
         tt = t + h
         sa = ya + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a)
         sb = yb + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b)
         sc = yc + h * (a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c)
-        k6a, k6b = sb, sc
-        k6c = -(p_at(tt) * sc + q_at(tt) * sb + r_at(tt) * sa)
+        k6a, k6b, k6c = deriv(tt, sa, sb, sc)
         na = ya + h * (a71 * k1a + a73 * k3a + a74 * k4a + a75 * k5a + a76 * k6a)
         nb = yb + h * (a71 * k1b + a73 * k3b + a74 * k4b + a75 * k5b + a76 * k6b)
         nc = yc + h * (a71 * k1c + a73 * k3c + a74 * k4c + a75 * k5c + a76 * k6c)
-        k7a, k7b = nb, nc
-        k7c = -(p_at(tt) * nc + q_at(tt) * nb + r_at(tt) * na)
+        k7a, k7b, k7c = deriv(tt, na, nb, nc)
         erra = h * (e1 * k1a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
         errb = h * (e1 * k1b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
         errc = h * (e1 * k1c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
@@ -313,7 +217,7 @@ def _integrate_linear(
         rb = errb / den
         den = abs_tol + rel_tol * max(abs(yc), abs(nc))
         rc = errc / den
-        err = math.sqrt((ra * ra + rb * rb + rc * rc) / 3.0)
+        err = math.sqrt((ra * ra + rb * rb + rc * rc) / dim)
         if not (isfinite(na) and isfinite(nb) and isfinite(nc) and isfinite(err)):
             stats.rejected += 1
             h *= 0.2
@@ -327,8 +231,6 @@ def _integrate_linear(
             dys.append((k1a, k1b, k1c))
             scales.append(log_scale)
             stats.accepted += 1
-            if h > stats.max_step:
-                stats.max_step = h
             norm = max(abs(ya), abs(yb), abs(yc))
             if renorm_threshold is not None:
                 if norm > renorm_threshold:
@@ -348,7 +250,18 @@ def _integrate_linear(
             stats.rejected += 1
             fac = max(0.1, 0.9 * err ** -0.2)
         h *= fac
-    return np.array(ts), np.array(ys), np.array(dys), np.array(scales), status, stats
+    return np.array(ts), np.array(ys)[:, :dim], np.array(dys)[:, :dim], np.array(scales), status, stats
+
+
+def _linear_rhs(model: CoefficientModel):
+    """Right side of the third order equation as a first order system in
+    (phi, phi', phi''): phi''' = -(p phi'' + q phi' + r phi)."""
+    p_at, q_at, r_at = model.p_at, model.q_at, model.r_at
+
+    def deriv(t, a, b, c):
+        return b, c, -(p_at(t) * c + q_at(t) * b + r_at(t) * a)
+
+    return deriv
 
 
 @dataclass
@@ -373,17 +286,6 @@ class SolutionTrajectory:
             return 1.0
         return math.exp(float(self.log_scale[k + 1]) - float(self.log_scale[k]))
 
-    @property
-    def truncated(self) -> bool:
-        return self.status != COMPLETED
-
-    @property
-    def blow_up_time(self) -> float | None:
-        return self.t_end if self.status == BLOW_UP else None
-
-    def phi(self) -> np.ndarray:
-        return self.states[:, 0]
-
 
 def integrate_third_order(
     model: CoefficientModel,
@@ -395,10 +297,8 @@ def integrate_third_order(
     if not t_max > model.t0:
         raise ValueError(f"t_max={t_max} must exceed t0={model.t0}")
     controls = controls or OdeControls()
-    ts, ys, _, scales, status, stats = _integrate_linear(
-        model.p_at,
-        model.q_at,
-        model.r_at,
+    ts, ys, _, scales, status, stats = _dopri(
+        _linear_rhs(model),
         model.t0,
         initial,
         t_max,
@@ -446,10 +346,8 @@ def state_at(traj: SolutionTrajectory, t: float, model: CoefficientModel | None 
     phi = _hermite(t0, t1, y0[0], y0[1], y1[0], y1[1], t)
     dphi = _hermite(t0, t1, y0[1], y0[2], y1[1], y1[2], t)
     if model is not None:
-        def ddd(tt, y):
-            return -(model.p_at(tt) * y[2] + model.q_at(tt) * y[1] + model.r_at(tt) * y[0])
-
-        ddphi = _hermite(t0, t1, y0[2], ddd(t0, y0), y1[2], ddd(t1, y1), t)
+        deriv = _linear_rhs(model)
+        ddphi = _hermite(t0, t1, y0[2], deriv(t0, *y0)[2], y1[2], deriv(t1, *y1)[2], t)
     else:
         s = (t - t0) / (t1 - t0)
         ddphi = (1.0 - s) * y0[2] + s * y1[2]
@@ -512,6 +410,8 @@ def count_zeros(traj: SolutionTrajectory, zero_tol: float = 1e-9) -> list:
     return zeros
 
 
+TAIL_FRACTION = 0.25  # classify_lemma21 reads the final quarter of the span
+
 TYPE_2_1 = "TYPE_2_1"
 TYPE_3_2 = "TYPE_3_2"
 OSCILLATORY_EVIDENCE = "OSCILLATORY_EVIDENCE"
@@ -520,7 +420,6 @@ UNCLASSIFIED = "UNCLASSIFIED"
 
 def classify_lemma21(
     traj: SolutionTrajectory,
-    tail_fraction: float = 0.25,
     *,
     min_zeros: int = 5,
     zeros: list | None = None,
@@ -540,7 +439,7 @@ def classify_lemma21(
     t_end = traj.t_end
     if len(zeros) >= min_zeros and zeros[-1].t > t_end / 10.0:
         return OSCILLATORY_EVIDENCE
-    t_tail = t_end - tail_fraction * (t_end - float(traj.t[0]))
+    t_tail = t_end - TAIL_FRACTION * (t_end - float(traj.t[0]))
     mask = traj.t >= t_tail
     if int(np.sum(mask)) < 8:
         return UNCLASSIFIED

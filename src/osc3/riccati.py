@@ -25,12 +25,16 @@ import numpy as np
 
 from .coeffs import CoefficientModel
 from .expr import ExprAst, compile_fn
-from .ode import BLOW_UP, COMPLETED, STEP_UNDERFLOW, OdeControls, SolutionTrajectory, StepStats, adaptive_rk
-from .ode import _hermite
+from .ode import BLOW_UP, COMPLETED, STEP_UNDERFLOW, OdeControls, SolutionTrajectory, StepStats
+from .ode import _dopri, _hermite
 from .quad import integrate_adaptive
 
 AS_WRITTEN = "AS_WRITTEN"
 LINEARIZED = "LINEARIZED"
+
+MIN_RESIDUAL_POINTS = 8  # fewest samples riccati2_residual evaluates on
+ETA_CHECK_POINTS = 64  # comparison_check samples each eta inequality here ...
+ETA_CHECK_TOL = 1e-6  # ... to this relative tolerance
 
 
 def _as_fn(obj) -> Callable[[float], float]:
@@ -73,10 +77,6 @@ class Riccati1Solution:
     def t_end(self) -> float:
         return float(self.t[-1])
 
-    @property
-    def escape_time(self) -> float | None:
-        return self.t_end if self.status == BLOW_UP else None
-
     def y_at(self, t: float) -> float:
         """Cubic Hermite interpolation between stored nodes."""
         ts = self.t
@@ -94,23 +94,22 @@ def solve_riccati1(
 ) -> Riccati1Solution:
     """Integrate y' = -(f y^2 + g y + h) from (t_start, y_start).
 
-    Solutions escaping |y| > controls.blow_up stop there with the escape
-    time recorded; step underflow while chasing a vertical asymptote is
-    folded into the same blow-up status.
+    Solutions escaping |y| > controls.blow_up stop there with status
+    BLOW_UP, so ``t_end`` is the escape time; step underflow while chasing a
+    vertical asymptote is folded into the same blow-up status.
     """
     if t_max <= prob.t_start:
         raise ValueError(f"t_max={t_max!r} must exceed t_start={prob.t_start!r}")
     controls = controls or OdeControls(rel_tol=1e-10, abs_tol=1e-12, blow_up=1e12)
     f_at, g_at, h_at = prob.f_at, prob.g_at, prob.h_at
 
-    def rhs(t, y):
-        v = y[0]
-        return np.array((-(f_at(t) * v * v + g_at(t) * v + h_at(t)),))
+    def deriv(t, v, _b, _c):
+        return -(f_at(t) * v * v + g_at(t) * v + h_at(t)), 0.0, 0.0
 
-    ts, ys, dys, _, status, stats = adaptive_rk(
-        rhs,
+    ts, ys, dys, _, status, stats = _dopri(
+        deriv,
         prob.t_start,
-        np.array((prob.y_start,)),
+        (prob.y_start,),
         t_max,
         rel_tol=controls.rel_tol,
         abs_tol=controls.abs_tol,
@@ -197,7 +196,6 @@ def riccati2_residual(
     traj: SolutionTrajectory,
     *,
     window: tuple | None = None,
-    min_points: int = 8,
 ) -> ResidualReport:
     """Residual of y'' + (3y + p)y' + y^3 + p y^2 + q y + r for y = phi'/phi.
 
@@ -212,7 +210,7 @@ def riccati2_residual(
         lo, hi = window
         mask = (ts >= lo) & (ts <= hi)
         idx = np.nonzero(mask)[0]
-        if len(idx) < min_points:
+        if len(idx) < MIN_RESIDUAL_POINTS:
             raise ValueError(f"window [{lo}, {hi}] holds only {len(idx)} samples")
         sel = phi[idx]
         tiny = 1e-300 + 0.0 * np.max(np.abs(sel))
@@ -227,7 +225,7 @@ def riccati2_residual(
         while k0 > 0 and np.sign(phi[k0 - 1]) == s_last:
             k0 -= 1
         idx = np.arange(k0, len(phi))
-        if len(idx) < min_points:
+        if len(idx) < MIN_RESIDUAL_POINTS:
             raise ValueError(
                 f"constant-sign tail has only {len(idx)} samples "
                 f"(phi changes sign near t={ts[max(k0 - 1, 0)]:.6g})"
@@ -343,8 +341,6 @@ def comparison_check(
     *,
     controls: OdeControls | None = None,
     n_grid: int = 400,
-    n_eta_check: int = 64,
-    eta_check_tol: float = 1e-6,
 ) -> ComparisonReport:
     """Ordering test for two scalar Riccati equations.
 
@@ -396,12 +392,12 @@ def comparison_check(
         )
     preconditions["gamma_range"] = {"ok": True, "low": y2_t0, "high": float(eta1_t0)}
 
-    eta_grid = np.linspace(t0, t_hi, n_eta_check)
+    eta_grid = np.linspace(t0, t_hi, ETA_CHECK_POINTS)
     preconditions["eta1_inequality"] = _eta_residual_check(
-        "eta1_inequality", eta1_fn, prob1, eta_grid, eta_check_tol
+        "eta1_inequality", eta1_fn, prob1, eta_grid, ETA_CHECK_TOL
     )
     preconditions["eta2_inequality"] = _eta_residual_check(
-        "eta2_inequality", eta2_fn, prob2, eta_grid, eta_check_tol
+        "eta2_inequality", eta2_fn, prob2, eta_grid, ETA_CHECK_TOL
     )
 
     # weighted hypothesis trace along the grid

@@ -209,12 +209,14 @@ class TestErrorPaths:
             ["sweep", "--p", "0", "--q", "0", "--r", "r0", "--sweep", "r0=1:1:1", "--jobs", "0"],
             ["sweep", "--p", "0", "--q", "0", "--r", "r0", "--sweep", "r0=1:inf:1"],
             ["sweep", "--p", "0", "--q", "0", "--r", "r0", "--sweep", "r0=1:1:1", "--tmax", "0.5"],
+            ["sweep", "--fixture", "lazer", "--sweep", "r0=1:1:1"],
         ],
     )
     def test_config_errors_return_2(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert not err.startswith('error: "')  # a KeyError prints its message, not its repr
         assert "np.float64" not in err and "Traceback" not in err
 
     def test_missing_sources(self, capsys):

@@ -57,6 +57,14 @@ CASES = {
         ["riccati", "--comparison", "identity", "--out", "riccati_identity.json"],
         ["riccati_identity.json"],
     ),
+    "riccati_linear": (
+        ["riccati", "--comparison", "linear", "--out", "riccati_linear.json"],
+        ["riccati_linear.json"],
+    ),
+    "riccati_thm32_usage": (
+        ["riccati", "--comparison", "thm32-usage", "--out", "riccati_thm32_usage.json"],
+        ["riccati_thm32_usage.json"],
+    ),
 }
 
 
