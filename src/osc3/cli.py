@@ -65,8 +65,7 @@ def _parse_theorems(text: str | None, default: tuple) -> list:
             if key not in _THEOREM_KEYS:
                 raise ValueError(f"unknown theorem {piece!r}; use thm31, thm32, thm33, lazer, or all")
             chosen.append(_THEOREM_KEYS[key])
-    ordered = [t for t in _CANONICAL_ORDER if t in chosen]
-    return ordered
+    return [t for t in _CANONICAL_ORDER if t in chosen]
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
@@ -93,12 +92,10 @@ def _sign_dict(sr: SignReport) -> dict:
 
 
 def _condition_dict(obj) -> dict:
-    if isinstance(obj, Verdict):
+    if isinstance(obj, (Verdict, Check33fReport)):
         return obj.as_dict()
     if isinstance(obj, SignReport):
         return _sign_dict(obj)
-    if isinstance(obj, Check33fReport):
-        return obj.as_dict()
     if isinstance(obj, dict):
         return obj
     raise TypeError(f"cannot serialize condition result {type(obj).__name__}")

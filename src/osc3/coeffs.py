@@ -99,7 +99,8 @@ def build_model(
         for label, fn in (("p", model.p_at), ("q", model.q_at), ("r", model.r_at), ("p'", model.p_prime_at)):
             try:
                 v = fn(t)
-            except expr.ExprError as exc:
+            except (ArithmeticError, ValueError) as exc:
+                # ExprError, or what floor/sin/cos raise on an inf or nan argument
                 raise ModelError(f"{label} undefined at t={t:.6g}: {exc}") from exc
             if not math.isfinite(v):
                 raise ModelError(f"{label} is not finite at t={t:.6g}")
@@ -243,8 +244,8 @@ def make_split(
 
     Defaults to the trivial split p1 = 0, p2 = min(p, 0), which is valid
     whenever p_- itself is bounded.  Validation samples a jittered grid and
-    requires p1 <= 0, p2 <= 0 (tolerance 1e-12) and p1 + p2 = p_- to a
-    relative tolerance of 1e-9.
+    requires p1 and p2 to be defined, p1 <= 0, p2 <= 0 (tolerance 1e-12, NaN
+    fails) and p1 + p2 = p_- to a relative tolerance of 1e-9.
     """
     names = tuple(model.params)
     if p1_src is None:
@@ -260,10 +261,14 @@ def make_split(
     split.p1_at = expr.compile_fn(p1, model.params)
     split.p2_at = expr.compile_fn(p2, model.params)
     for t in sample_points(model.t0, n=n_check).tolist():
-        v1 = split.p1_at(t)
-        v2 = split.p2_at(t)
-        if v1 > 1e-12 or v2 > 1e-12:
-            raise ModelError(f"split parts must be nonpositive; violated at t={t:.6g}")
+        try:
+            v1 = split.p1_at(t)
+            v2 = split.p2_at(t)
+        except (ArithmeticError, ValueError) as exc:
+            raise ModelError(f"split undefined at t={t:.6g}: {exc}") from exc
+        # written so that a NaN part fails too
+        if not (v1 <= 1e-12 and v2 <= 1e-12):
+            raise ModelError(f"split parts must be finite and nonpositive; violated at t={t:.6g}")
         pm = p_minus(model, t)
         if abs((v1 + v2) - pm) > 1e-9 * (1.0 + abs(pm)):
             raise ModelError(f"split does not reconstruct min(p, 0) at t={t:.6g}")

@@ -228,7 +228,10 @@ class _Parser:
     def parse_atom(self):
         kind, value, pos = self.take()
         if kind == "num":
-            return Const(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ExprSyntaxError(f"number {value} is not finite in double precision", pos, self.source)
+            return Const(number)
         if kind == "op" and value == "(":
             self._enter(pos)
             try:
@@ -300,85 +303,6 @@ def _pow(a: float, b: float) -> float:
         raise EvalDomainError(f"pow({a!r}, {b!r}) undefined: {exc}") from exc
 
 
-def _eval(node: Node, t: float, params: Mapping[str, float]) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return t
-    if isinstance(node, Param):
-        try:
-            return float(params[node.name])
-        except KeyError:
-            raise UnboundParameterError(f"parameter {node.name!r} has no value") from None
-    if isinstance(node, Neg):
-        return -_eval(node.a, t, params)
-    if isinstance(node, Bin):
-        a = _eval(node.a, t, params)
-        b = _eval(node.b, t, params)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise EvalDomainError(f"division by zero at t={t!r}")
-            return a / b
-        return _pow(a, b)
-    if isinstance(node, Cmp):
-        a = _eval(node.a, t, params)
-        b = _eval(node.b, t, params)
-        if node.op == "<":
-            return 1.0 if a < b else 0.0
-        if node.op == "<=":
-            return 1.0 if a <= b else 0.0
-        if node.op == ">":
-            return 1.0 if a > b else 0.0
-        return 1.0 if a >= b else 0.0
-    if isinstance(node, If):
-        if _eval(node.cond, t, params) != 0.0:
-            return _eval(node.then, t, params)
-        return _eval(node.other, t, params)
-    # Call
-    a = _eval(node.args[0], t, params)
-    fn = node.fn
-    if fn == "sin":
-        return math.sin(a)
-    if fn == "cos":
-        return math.cos(a)
-    if fn == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError as exc:
-            raise EvalDomainError(f"exp({a!r}) overflows") from exc
-    if fn == "ln":
-        if a <= 0.0:
-            raise EvalDomainError(f"ln({a!r}) undefined")
-        return math.log(a)
-    if fn == "abs":
-        return abs(a)
-    if fn == "sqrt":
-        if a < 0.0:
-            raise EvalDomainError(f"sqrt({a!r}) undefined")
-        return math.sqrt(a)
-    if fn == "floor":
-        return math.floor(a)
-    b = _eval(node.args[1], t, params)
-    if fn == "min":
-        return min(a, b)
-    return max(a, b)
-
-
-def evaluate(ast: ExprAst, t: float, params: Mapping[str, float] | None = None) -> float:
-    """Evaluate at a single t.  Raises EvalDomainError instead of returning
-    NaN or infinity."""
-    value = _eval(ast.root, t, params or {})
-    if not math.isfinite(value):
-        raise EvalDomainError(f"expression value {value!r} at t={t!r} is not finite")
-    return value
-
-
 def _checked_div(a: float, b: float, t: float) -> float:
     if b == 0.0:
         raise EvalDomainError(f"division by zero at t={t!r}")
@@ -404,42 +328,30 @@ def _checked_exp(a: float) -> float:
         raise EvalDomainError(f"exp({a!r}) overflows") from exc
 
 
-_COMPILE_NS = {
-    "_pow": _pow,
-    "_div": _checked_div,
-    "_ln": _checked_ln,
-    "_sqrt": _checked_sqrt,
-    "_exp": _checked_exp,
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_abs": abs,
-    "_floor": math.floor,
-    "_min": min,
-    "_max": max,
-    "__builtins__": {},
+# One helper per language function: ``f(a, ...)`` compiles to ``_f(a, ...)``.
+_FUNCS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": _checked_exp,
+    "ln": _checked_ln,
+    "abs": abs,
+    "sqrt": _checked_sqrt,
+    "floor": math.floor,
+    "min": min,
+    "max": max,
 }
-
-_CALL_GEN = {
-    "sin": "_sin({0})",
-    "cos": "_cos({0})",
-    "exp": "_exp({0})",
-    "ln": "_ln({0})",
-    "abs": "_abs({0})",
-    "sqrt": "_sqrt({0})",
-    "floor": "_floor({0})",
-    "min": "_min({0}, {1})",
-    "max": "_max({0}, {1})",
-}
+_COMPILE_NS = {f"_{name}": fn for name, fn in _FUNCS.items()}
+_COMPILE_NS.update(_pow=_pow, _div=_checked_div, __builtins__={})
 
 
 def compile_fn(ast: ExprAst, params: Mapping[str, float] | None = None) -> Callable[[float], float]:
     """Bind parameters and return a plain ``f(t) -> float``.
 
-    This is the hot path used by quadrature and ODE stepping, so the AST is
-    translated once into a single Python lambda (constants and parameter
-    values inlined) instead of being walked per call.  Domain failures keep
-    raising EvalDomainError through small checked helpers; the per-call
-    finiteness check is skipped (callers that need it use :func:`evaluate`).
+    This is the module's only evaluator and the hot path of quadrature and
+    ODE stepping: the AST becomes one Python lambda with constants and
+    parameter values inlined.  A missing or non-finite parameter raises here.
+    Domain failures raise EvalDomainError through small checked helpers;
+    there is no per-call finiteness check (:func:`evaluate` adds one).
     """
     bound = dict(params or {})
 
@@ -451,7 +363,11 @@ def compile_fn(ast: ExprAst, params: Mapping[str, float] | None = None) -> Calla
         if isinstance(node, Param):
             if node.name not in bound:
                 raise UnboundParameterError(f"parameter {node.name!r} has no value")
-            return repr(float(bound[node.name]))
+            value = float(bound[node.name])
+            if not math.isfinite(value):
+                # repr would inline 'inf' or 'nan', names the lambda cannot resolve
+                raise EvalDomainError(f"parameter {node.name}={value!r} is not finite")
+            return repr(value)
         if isinstance(node, Neg):
             return f"(-{gen(node.a)})"
         if isinstance(node, Bin):
@@ -465,10 +381,29 @@ def compile_fn(ast: ExprAst, params: Mapping[str, float] | None = None) -> Calla
             return f"(1.0 if {gen(node.a)} {node.op} {gen(node.b)} else 0.0)"
         if isinstance(node, If):
             return f"({gen(node.then)} if {gen(node.cond)} != 0.0 else {gen(node.other)})"
-        return _CALL_GEN[node.fn].format(*(gen(a) for a in node.args))
+        return f"_{node.fn}({', '.join(gen(a) for a in node.args)})"
 
     source = "lambda t: " + gen(ast.root)
     return eval(source, dict(_COMPILE_NS))
+
+
+def evaluate(ast: ExprAst, t: float, params: Mapping[str, float] | None = None) -> float:
+    """Compile ``ast`` and evaluate it at a single t.
+
+    Raises EvalDomainError instead of returning NaN or infinity, also for the
+    OverflowError or ValueError that ``floor``, ``sin`` and ``cos`` raise on
+    an infinite or NaN argument.
+    """
+    try:
+        value = compile_fn(ast, params)(t)
+    except ExprError:
+        raise
+    except (OverflowError, ValueError) as exc:
+        raise EvalDomainError(f"expression undefined at t={t!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise EvalDomainError(f"expression value {value!r} at t={t!r} is not finite")
+    # floor returns an int
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ class Fixture:
     grid_ratio: float = 1.15
     grid_count: int = 120
     theorems: tuple = ("LAZER", "THM31", "THM32", "THM33")
-    ode_t_max: float = 100.0
     ode_r_src: str | None = None
     has_bumps: bool = False
 
@@ -128,7 +127,6 @@ LAZER_FIXTURE = Fixture(
     r_src="1",
     alpha=1.0,
     alpha33=2.0,
-    ode_t_max=100.0,
 )
 
 EXAMPLE31 = Fixture(
@@ -142,7 +140,6 @@ EXAMPLE31 = Fixture(
     alpha=1.0,
     alpha33=2.0,
     theorems=("THM31", "THM32"),
-    ode_t_max=50.0,
     ode_r_src=_R31_CORRECTED,
 )
 
@@ -159,7 +156,6 @@ EXAMPLE32 = Fixture(
     alpha33=2.0,
     grid_count=61,
     theorems=("THM31", "THM33"),
-    ode_t_max=50.0,
     has_bumps=True,
 )
 

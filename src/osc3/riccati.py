@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coeffs import CoefficientModel
-from .expr import ExprAst, compile_fn
 from .ode import BLOW_UP, COMPLETED, STEP_UNDERFLOW, OdeControls, SolutionTrajectory, StepStats
 from .ode import _dopri, _hermite
 from .quad import integrate_adaptive
@@ -40,12 +39,10 @@ ETA_CHECK_TOL = 1e-6  # ... to this relative tolerance
 def _as_fn(obj) -> Callable[[float], float]:
     if callable(obj):
         return obj
-    if isinstance(obj, ExprAst):
-        return compile_fn(obj)
     if isinstance(obj, (int, float)):
         c = float(obj)
         return lambda t: c
-    raise TypeError(f"expected callable, expression, or number, got {type(obj).__name__}")
+    raise TypeError(f"expected callable or number, got {type(obj).__name__}")
 
 
 @dataclass

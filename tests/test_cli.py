@@ -210,6 +210,12 @@ class TestErrorPaths:
             ["sweep", "--p", "0", "--q", "0", "--r", "r0", "--sweep", "r0=1:inf:1"],
             ["sweep", "--p", "0", "--q", "0", "--r", "r0", "--sweep", "r0=1:1:1", "--tmax", "0.5"],
             ["sweep", "--fixture", "lazer", "--sweep", "r0=1:1:1"],
+            ["check", "--p", "1e999*0", "--q", "0", "--r", "1"],
+            ["verify", "--p", "0", "--q", "0", "--r", "1e999"],
+            ["check", "--fixture", "lazer", "--d-override", "1e999"],
+            ["check", "--p", "floor(t*9e307*9)", "--q", "0", "--r", "1"],
+            ["check", "--p", "0", "--q", "0", "--r", "1", "--split-p1", "floor(t*9e307*9)",
+             "--theorem", "thm33"],
         ],
     )
     def test_config_errors_return_2(self, argv, capsys):

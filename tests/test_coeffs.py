@@ -158,6 +158,12 @@ class TestSplit:
         with pytest.raises(ModelError):
             make_split(m, "-t", "-1")
 
+    def test_split_part_must_be_defined_and_finite(self):
+        m = build_model("0", "0", "1")
+        for p1 in ("floor(t*9e307*9)", "t*9e307*9*0"):  # OverflowError, then NaN
+            with pytest.raises(ModelError):
+                make_split(m, p1, "0")
+
     def test_split_of_sign_changing_p_tracks_negative_part(self):
         m = build_model("sin(t)", "0", "1")
         sp = make_split(m)

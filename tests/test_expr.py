@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osc3.expr import (
@@ -51,6 +51,7 @@ class TestParseEvaluate:
         assert ev("ln(exp(t))", 2.0) == pytest.approx(2.0)
         assert ev("abs(t)", -4.0) == 4.0
         assert ev("floor(t)", 2.7) == 2.0
+        assert type(ev("floor(t)", 2.7)) is float
         assert ev("min(t, 1)", 3.0) == 1.0
         assert ev("max(t, 1)", 3.0) == 3.0
 
@@ -103,6 +104,22 @@ class TestErrors:
             evaluate(ast, 1.0, {})
         with pytest.raises(UnboundParameterError):
             compile_fn(ast, {})
+        # a binding is checked when the whole tree compiles, not per branch taken
+        with pytest.raises(UnboundParameterError):
+            evaluate(parse("if(t > 0, 1, M)", param_names=("M",)), 1.0, {})
+
+    def test_non_finite_literal(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse("t + 1e999")
+        assert info.value.pos == 4
+
+    def test_non_finite_parameter(self):
+        ast = parse("M*t", param_names=("M",))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(EvalDomainError):
+                compile_fn(ast, {"M": bad})
+            with pytest.raises(EvalDomainError):
+                evaluate(ast, 1.0, {"M": bad})
 
     def test_domain_errors(self):
         cases = [("1/t", 0.0), ("ln(t)", 0.0), ("ln(t)", -1.0),
@@ -121,23 +138,28 @@ class TestErrors:
 
 
 class TestCompiledParity:
-    SOURCES = [
-        "t^3 - 2*t + 1",
-        "sin(2*t) + cos(t/3)",
-        "exp(-t)*t^2",
-        "if(t > 2, ln(t), sqrt(abs(t)))",
-        "min(t, 5) + max(t, -5)",
-        "(t > 1)*(t - 1)^2",
-        "floor(t/2)",
-    ]
+    # each source written out by hand in Python, in the same operation order
+    REFERENCE = {
+        "t^3 - 2*t + 1": lambda t: t ** 3.0 - 2.0 * t + 1.0,
+        "sin(2*t) + cos(t/3)": lambda t: math.sin(2.0 * t) + math.cos(t / 3.0),
+        "exp(-t)*t^2": lambda t: math.exp(-t) * t ** 2.0,
+        "if(t > 2, ln(t), sqrt(abs(t)))": lambda t: math.log(t) if t > 2.0 else math.sqrt(abs(t)),
+        "min(t, 5) + max(t, -5)": lambda t: min(t, 5.0) + max(t, -5.0),
+        "(t > 1)*(t - 1)^2": lambda t: (1.0 if t > 1.0 else 0.0) * (t - 1.0) ** 2.0,
+        "floor(t/2)": lambda t: float(math.floor(t / 2.0)),
+    }
 
-    @pytest.mark.parametrize("src", SOURCES)
+    @pytest.mark.parametrize("src", list(REFERENCE))
     def test_matches_tree_walker(self, src):
+        """Both entry points equal the reference exactly; the reference
+        shares no code with the parser or the compiler."""
         ast = parse(src)
         f = compile_fn(ast)
+        reference = self.REFERENCE[src]
         for t in np.linspace(0.1, 12.0, 97):
             t = float(t)
-            assert f(t) == evaluate(ast, t)
+            assert f(t) == reference(t)
+            assert evaluate(ast, t) == reference(t)
 
     def test_parameter_binding_baked_in(self):
         ast = parse("a*t + b", param_names=("a", "b"))
@@ -190,6 +212,9 @@ class TestDerivative:
 
 
 @settings(max_examples=200, deadline=None)
+@example("1e999")
+@example("floor(9e307*9)")
+@example("sin(9e307*9)")
 @given(st.text(alphabet="0123456789.+-*/^() tincosqrlexpabfmx,<>=", max_size=40))
 def test_parser_never_crashes_unexpectedly(source):
     """Arbitrary input either parses or raises the module's own error type."""
