@@ -29,7 +29,8 @@ import numpy as np
 from . import expr
 
 _GOLDEN_FRAC = 0.6180339887498949  # (sqrt(5) - 1) / 2
-VALIDATE_N = 256  # build_model probes each coefficient at this many points
+VALIDATE_N = 256  # build_model and a D override are probed at this many points
+SPLIT_N = 1024  # make_split probes p1, p2 and their sum at this many points
 
 
 class ModelError(ValueError):
@@ -65,6 +66,28 @@ class CoefficientModel:
         return {"p": self.p.source, "q": self.q.source, "r": self.r.source}
 
 
+def probe(fns: Mapping[str, Callable[[float], float]], t0: float, n: int = VALIDATE_N) -> list:
+    """Values of each labelled function at the jittered points over [t0, t0 + 1e4].
+
+    Returns one (t, values) row per point.  A domain error or a non-finite
+    value is a ModelError that names the label and the point.
+    """
+    rows = []
+    for t in sample_points(t0, n=n).tolist():
+        values = []
+        for label, fn in fns.items():
+            try:
+                v = fn(t)
+            except (ArithmeticError, ValueError) as exc:
+                # ExprError, or what floor/sin/cos raise on an inf or nan argument
+                raise ModelError(f"{label} undefined at t={t:.6g}: {exc}") from exc
+            if not math.isfinite(v):
+                raise ModelError(f"{label} is not finite at t={t:.6g}")
+            values.append(v)
+        rows.append((t, values))
+    return rows
+
+
 def build_model(
     p_src: str,
     q_src: str,
@@ -95,15 +118,7 @@ def build_model(
     model.q_at = expr.compile_fn(q, params)
     model.r_at = expr.compile_fn(r, params)
     model.p_prime_at = expr.compile_fn(p_prime, params)
-    for t in sample_points(model.t0, n=VALIDATE_N).tolist():
-        for label, fn in (("p", model.p_at), ("q", model.q_at), ("r", model.r_at), ("p'", model.p_prime_at)):
-            try:
-                v = fn(t)
-            except (ArithmeticError, ValueError) as exc:
-                # ExprError, or what floor/sin/cos raise on an inf or nan argument
-                raise ModelError(f"{label} undefined at t={t:.6g}: {exc}") from exc
-            if not math.isfinite(v):
-                raise ModelError(f"{label} is not finite at t={t:.6g}")
+    probe({"p": model.p_at, "q": model.q_at, "r": model.r_at, "p'": model.p_prime_at}, model.t0)
     return model
 
 
@@ -237,15 +252,13 @@ def make_split(
     model: CoefficientModel,
     p1_src: str | None = None,
     p2_src: str | None = None,
-    *,
-    n_check: int = 1024,
 ) -> SplitModel:
     """Build and validate a split of p_-.
 
     Defaults to the trivial split p1 = 0, p2 = min(p, 0), which is valid
-    whenever p_- itself is bounded.  Validation samples a jittered grid and
-    requires p1 and p2 to be defined, p1 <= 0, p2 <= 0 (tolerance 1e-12, NaN
-    fails) and p1 + p2 = p_- to a relative tolerance of 1e-9.
+    whenever p_- itself is bounded.  Validation probes p1 and p2 like the
+    coefficients, at SPLIT_N points, and requires p1 <= 0, p2 <= 0
+    (tolerance 1e-12) and p1 + p2 = p_- to a relative tolerance of 1e-9.
     """
     names = tuple(model.params)
     if p1_src is None:
@@ -260,15 +273,9 @@ def make_split(
     split = SplitModel(model, p1, p2)
     split.p1_at = expr.compile_fn(p1, model.params)
     split.p2_at = expr.compile_fn(p2, model.params)
-    for t in sample_points(model.t0, n=n_check).tolist():
-        try:
-            v1 = split.p1_at(t)
-            v2 = split.p2_at(t)
-        except (ArithmeticError, ValueError) as exc:
-            raise ModelError(f"split undefined at t={t:.6g}: {exc}") from exc
-        # written so that a NaN part fails too
-        if not (v1 <= 1e-12 and v2 <= 1e-12):
-            raise ModelError(f"split parts must be finite and nonpositive; violated at t={t:.6g}")
+    for t, (v1, v2) in probe({"p1": split.p1_at, "p2": split.p2_at}, model.t0, SPLIT_N):
+        if v1 > 1e-12 or v2 > 1e-12:
+            raise ModelError(f"split parts must be nonpositive; violated at t={t:.6g}")
         pm = p_minus(model, t)
         if abs((v1 + v2) - pm) > 1e-9 * (1.0 + abs(pm)):
             raise ModelError(f"split does not reconstruct min(p, 0) at t={t:.6g}")

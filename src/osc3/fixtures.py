@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .coeffs import CoefficientModel, SplitModel, build_model, make_split
+from .coeffs import CoefficientModel, SplitModel, build_model, make_split, probe
 from .expr import compile_fn, parse
 from .kamenev import GeometricGrid
 
@@ -85,8 +85,9 @@ class Fixture:
         if not self.d_src:
             return None
         params = self.params_with(overrides)
-        ast = parse(self.d_src, param_names=tuple(params))
-        return compile_fn(ast, params)
+        fn = compile_fn(parse(self.d_src, param_names=tuple(params)), params)
+        probe({"D": fn}, self.t0)
+        return fn
 
     def grid(self) -> GeometricGrid:
         return GeometricGrid(self.t0, self.grid_ratio, self.grid_count)

@@ -11,8 +11,8 @@ For integer exponents the weighted averages expand binomially into
 cumulative moment integrals int tau^j g(tau) dtau, so a whole grid of S
 values costs one pass over [t0, t_end] instead of one quadrature per grid
 point.  Non-integer exponents fall back to an independent adaptive
-quadrature per point.  Both paths agree to quadrature tolerance and the
-tests hold them to that.
+quadrature per point.  The tests hold both paths to an outside reference
+quadrature at every grid point.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ APPLIES = "APPLIES"
 DOES_NOT_APPLY = "DOES_NOT_APPLY"
 
 LAZER_CONST = 2.0 / (3.0 * math.sqrt(3.0))
+SIGN_SPAN = 1e4  # theorem_verdict samples condition (a) and p == 0 on [t0, t0 + SIGN_SPAN]
+HORIZON_33F = 1e4  # check_33f integrates |p1| out to this t
 
 
 @dataclass(frozen=True)
@@ -229,16 +231,9 @@ def _d_fn_for(model: CoefficientModel, d_fn) -> Callable[[float], float]:
     return lambda t: d_closed(model, t)
 
 
-def _interior(breakpoints, a, b):
-    if not breakpoints:
-        return None
-    picked = [x for x in breakpoints if a < x < b]
-    return picked or None
-
-
 def _cumulative_at(f, a, pts, tol, breakpoints):
     """Values of int_a^{t_k} f for every grid point, plus the warning flag."""
-    tab = cumulative(f, a, list(pts), tol, breakpoints=_interior(breakpoints, a, pts[-1]))
+    tab = cumulative(f, a, list(pts), tol, breakpoints=breakpoints)
     return np.asarray(tab.values[-len(pts):], dtype=float), tab.warning
 
 
@@ -267,17 +262,16 @@ def _direct_series(g, a, pts, m, tol, breakpoints):
         if t <= a:
             continue
         res = integrate_adaptive(
-            lambda tau, _t=t: (_t - tau) ** m * g(tau), a, float(t), tol,
-            breakpoints=_interior(breakpoints, a, float(t)),
+            lambda tau, _t=t: (_t - tau) ** m * g(tau), a, float(t), tol, breakpoints=breakpoints
         )
         out[k] = res.value
         warn = warn or res.warning
     return out, warn
 
 
-def _weighted_series(g, a, pts, m, tol, breakpoints, force_direct=False):
+def _weighted_series(g, a, pts, m, tol, breakpoints):
     m_int = int(round(m))
-    if not force_direct and abs(m - m_int) < 1e-12 and m_int >= 0:
+    if abs(m - m_int) < 1e-12 and m_int >= 0:
         return _moment_series(g, a, pts, m_int, tol, breakpoints)
     return _direct_series(g, a, pts, m, tol, breakpoints)
 
@@ -322,7 +316,6 @@ def criterion_kamenev(
     breakpoints=None,
     tol: float = 1e-9,
     policy: LimsupPolicy | None = None,
-    force_direct: bool = False,
 ) -> CriterionTrajectory:
     """Weighted-average criteria sampled along the grid.
 
@@ -349,10 +342,10 @@ def criterion_kamenev(
     d = _d_fn_for(model, d_fn)
     warnings = []
     if mode == THM33G:
-        series, warn = _weighted_series(d, a0, pts, alpha, tol, breakpoints, force_direct)
+        series, warn = _weighted_series(d, a0, pts, alpha, tol, breakpoints)
         vals = series / pts ** alpha
     else:
-        d_part, warn_d = _weighted_series(d, a0, pts, alpha + 1.0, tol, breakpoints, force_direct)
+        d_part, warn_d = _weighted_series(d, a0, pts, alpha + 1.0, tol, breakpoints)
         if mode == THM31B:
             def pen(tau):
                 v = p_minus(model, tau)
@@ -364,7 +357,7 @@ def criterion_kamenev(
                 return p_minus(model, tau)
 
             coeff = alpha + 1.0
-        p_part, warn_p = _weighted_series(pen, a0, pts, alpha, tol, breakpoints, force_direct)
+        p_part, warn_p = _weighted_series(pen, a0, pts, alpha, tol, breakpoints)
         vals = (d_part - coeff * p_part) / pts ** (alpha + 1.0)
         warn = warn_d or warn_p
     if warn:
@@ -448,7 +441,7 @@ class Check33fReport:
 
 def check_33f(
     split: SplitModel,
-    horizon: float = 1e4,
+    horizon: float = HORIZON_33F,
     *,
     breakpoints=None,
     tol: float = 1e-9,
@@ -567,8 +560,6 @@ def theorem_verdict(
     policy: LimsupPolicy | None = None,
     d_fn=None,
     breakpoints=None,
-    sign_span: float = 1e4,
-    horizon_33f: float = 1e4,
     tol: float = 1e-9,
 ) -> TheoremReport:
     """Evaluate every condition of one theorem and combine the verdicts.
@@ -593,7 +584,7 @@ def theorem_verdict(
     trajectories: dict = {}
     warnings: list = []
 
-    conditions["a"] = check_condition_a(model, span=sign_span)
+    conditions["a"] = check_condition_a(model, span=SIGN_SPAN)
 
     def run(letter, traj):
         trajectories[letter] = traj
@@ -607,10 +598,10 @@ def theorem_verdict(
         run("d", criterion_kamenev(model, alpha, THM32D, grid, d_fn=d_fn, breakpoints=breakpoints, tol=tol, policy=policy))
     elif theorem == "THM33":
         run("e", cumulative_D(model, grid, THM33E, d_fn=d_fn, breakpoints=breakpoints, tol=tol, policy=policy))
-        conditions["f"] = check_33f(split, horizon_33f, breakpoints=breakpoints, tol=tol, policy=policy)
+        conditions["f"] = check_33f(split, breakpoints=breakpoints, tol=tol, policy=policy)
         run("g", criterion_kamenev(model, alpha, THM33G, grid, d_fn=d_fn, breakpoints=breakpoints, tol=tol, policy=policy))
     else:
-        conditions["p_zero"] = _p_zero_check(model, sign_span)
+        conditions["p_zero"] = _p_zero_check(model, SIGN_SPAN)
         traj = criterion_lazer(model, grid, tol=tol, policy=policy, breakpoints=breakpoints)
         trajectories["integral"] = traj
         conditions["integral"] = traj.verdict

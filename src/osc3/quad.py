@@ -1,10 +1,18 @@
 """Adaptive Simpson quadrature with cumulative tables.
 
-The integrator is the classic recursive Simpson scheme with Richardson
+The integrator is the classic adaptive Simpson scheme with Richardson
 extrapolation: a panel is accepted when the two-half refinement agrees with
 the single-panel estimate to 15x the local tolerance.  Tolerances mix an
 absolute share (distributed by panel width) with a relative term, so both
 tiny and astronomically large integrals come out with ~9 correct digits.
+
+The refinement runs as one loop over an explicit task stack, not as a
+recursion, so its cost does not depend on how deep the caller's stack is.
+The left half is refined before the right and the two halves' results are
+added once, when both are done, which is the order a depth-first recursion
+would give.  ``MAX_DEPTH`` caps how many times a panel between breakpoints
+may be halved; a panel that hits it unconverged sets the result's
+``warning`` flag.
 
 Narrow features (the bump-train coefficients used in the worked fixtures
 concentrate all their mass in intervals of width n^-5) are invisible to any
@@ -33,66 +41,14 @@ MIN_DEPTH = 3
 @dataclass
 class QuadResult:
     value: float
-    warning: bool  # True when some panel hit the recursion depth cap
-    evals: int
-
-
-def _simpson(fa, fm, fb, width):
-    return width * (fa + 4.0 * fm + fb) / 6.0
-
-
-class _Worker:
-    def __init__(self, f, tol, max_depth):
-        self.f = f
-        self.tol = tol
-        self.max_depth = max_depth
-        self.evals = 0
-        self.warning = False
-
-    def call(self, x):
-        self.evals += 1
-        return self.f(x)
-
-    def integrate(self, a, b, total_width):
-        if a == b:
-            return 0.0
-        fa = self.call(a)
-        m = 0.5 * (a + b)
-        fm = self.call(m)
-        fb = self.call(b)
-        whole = _simpson(fa, fm, fb, b - a)
-        return self._refine(a, m, b, fa, fm, fb, whole, (b - a) / total_width, 0)
-
-    def _refine(self, a, m, b, fa, fm, fb, whole, frac, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = self.call(lm)
-        frm = self.call(rm)
-        left = _simpson(fa, flm, fm, m - a)
-        right = _simpson(fm, frm, fb, b - m)
-        s2 = left + right
-        err = s2 - whole
-        # absolute share proportional to panel width, plus relative slack
-        allow = self.tol * frac + self.tol * abs(s2)
-        converged = abs(err) <= 15.0 * allow and depth >= MIN_DEPTH
-        if converged or depth >= self.max_depth:
-            if depth >= self.max_depth and abs(err) > 15.0 * allow:
-                self.warning = True
-            return s2 + err / 15.0
-        half = 0.5 * frac
-        return self._refine(a, lm, m, fa, flm, fm, left, half, depth + 1) + self._refine(
-            m, rm, b, fm, frm, fb, right, half, depth + 1
-        )
+    warning: bool  # True when some panel hit the depth cap unconverged
+    evals: int  # integrand calls: 3 per panel plus 2 per refined node
 
 
 def _panel_edges(a: float, b: float, breakpoints: Iterable[float] | None):
-    edges = [a]
-    if breakpoints:
-        for x in sorted(set(float(x) for x in breakpoints)):
-            if a < x < b:
-                edges.append(x)
-    edges.append(b)
-    return edges
+    """``a``, the distinct breakpoints strictly inside (a, b) in order, ``b``."""
+    inside = {float(x) for x in breakpoints or () if a < x < b}
+    return [a, *sorted(inside), b]
 
 
 def integrate_adaptive(
@@ -102,7 +58,6 @@ def integrate_adaptive(
     tol: float = DEFAULT_TOL,
     *,
     breakpoints: Sequence[float] | None = None,
-    max_depth: int = MAX_DEPTH,
 ) -> QuadResult:
     """Integrate ``f`` over ``[a, b]``.
 
@@ -112,15 +67,54 @@ def integrate_adaptive(
     """
     if b < a:
         raise ValueError("integrate_adaptive requires a <= b")
-    worker = _Worker(f, tol, max_depth)
     if a == b:
         return QuadResult(0.0, False, 0)
     edges = _panel_edges(a, b, breakpoints)
     total = b - a
     value = 0.0
+    evals = 0
+    warning = False
     for lo, hi in zip(edges[:-1], edges[1:]):
-        value += worker.integrate(lo, hi, total)
-    return QuadResult(value, worker.warning, worker.evals)
+        fa = f(lo)
+        m = 0.5 * (lo + hi)
+        fm = f(m)
+        fb = f(hi)
+        evals += 3
+        whole = (hi - lo) * (fa + 4.0 * fm + fb) / 6.0  # Simpson's rule
+        # a task is a node to refine, or None: add the last two results
+        tasks = [(lo, m, hi, fa, fm, fb, whole, (hi - lo) / total, 0)]
+        push, pop = tasks.append, tasks.pop
+        done = []
+        while tasks:
+            task = pop()
+            if task is None:
+                last = done.pop()
+                done[-1] = done[-1] + last
+                continue
+            x0, xm, x1, f0, fxm, f1, whole, frac, depth = task
+            lm = 0.5 * (x0 + xm)
+            rm = 0.5 * (xm + x1)
+            flm = f(lm)
+            frm = f(rm)
+            evals += 2
+            left = (xm - x0) * (f0 + 4.0 * flm + fxm) / 6.0
+            right = (x1 - xm) * (fxm + 4.0 * frm + f1) / 6.0
+            s2 = left + right
+            err = s2 - whole
+            # 15x the local tolerance: an absolute share proportional to
+            # panel width, plus relative slack
+            allow = 15.0 * (tol * frac + tol * abs(s2))
+            if abs(err) <= allow and depth >= MIN_DEPTH or depth >= MAX_DEPTH:
+                if depth >= MAX_DEPTH and abs(err) > allow:
+                    warning = True
+                done.append(s2 + err / 15.0)
+            else:
+                half = 0.5 * frac
+                push(None)
+                push((xm, rm, x1, fxm, frm, f1, right, half, depth + 1))
+                push((x0, lm, xm, f0, flm, fxm, left, half, depth + 1))
+        value += done[0]
+    return QuadResult(value, warning, evals)
 
 
 @dataclass
@@ -160,13 +154,9 @@ def cumulative(
         pts = [a] + pts
     values = [0.0]
     warning = False
-    brks = sorted(set(float(x) for x in breakpoints)) if breakpoints else None
     running = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        local = None
-        if brks:
-            local = [x for x in brks if lo < x < hi]
-        res = integrate_adaptive(f, lo, hi, tol, breakpoints=local)
+        res = integrate_adaptive(f, lo, hi, tol, breakpoints=breakpoints)
         warning = warning or res.warning
         running += res.value
         values.append(running)

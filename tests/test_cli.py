@@ -213,6 +213,9 @@ class TestErrorPaths:
             ["check", "--p", "1e999*0", "--q", "0", "--r", "1"],
             ["verify", "--p", "0", "--q", "0", "--r", "1e999"],
             ["check", "--fixture", "lazer", "--d-override", "1e999"],
+            ["check", "--fixture", "lazer", "--theorem", "thm32", "--d-override", "floor(t*9e307*9)"],
+            ["check", "--fixture", "lazer", "--theorem", "thm32", "--d-override", "t*9e307*9"],
+            ["check", "--fixture", "lazer", "--theorem", "thm32", "--d-override", "t*9e307*9*0"],
             ["check", "--p", "floor(t*9e307*9)", "--q", "0", "--r", "1"],
             ["check", "--p", "0", "--q", "0", "--r", "1", "--split-p1", "floor(t*9e307*9)",
              "--theorem", "thm33"],

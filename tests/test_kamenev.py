@@ -194,18 +194,38 @@ class TestCriterionTrajectories:
         assert np.allclose(traj.values, 3.0 * (traj.t - 1.0), atol=1e-8)
 
     def test_moment_path_matches_direct_quadrature(self):
+        # integer exponents take the moment expansion, alpha = 1.5 the
+        # per-point quadrature; both against scipy's QUADPACK per grid point
+        integrate = pytest.importorskip("scipy.integrate")
         fx = get_fixture("example31")
         model = fx.build()
         d_fn = fx.d_fn()
         grid = GeometricGrid(1.0, 1.15, 40)
-        for crit, alpha in ((THM31B, 1.0), (THM32D, 1.0), (THM33G, 2.0)):
-            fast = criterion_kamenev(model, alpha, crit, grid, d_fn=d_fn)
-            slow = criterion_kamenev(
-                model, alpha, crit, grid, d_fn=d_fn, force_direct=True
-            )
-            rel = np.max(np.abs(fast.values - slow.values) / (1.0 + np.abs(slow.values)))
-            assert rel < 1e-9
-            assert fast.verdict.kind == slow.verdict.kind
+
+        def weighted(g, m, t):
+            val, _ = integrate.quad(lambda tau: (t - tau) ** m * g(tau), model.t0, t,
+                                    epsabs=0.0, epsrel=1e-13, limit=200)
+            return val
+
+        def pen2(tau):
+            return min(model.p_at(tau), 0.0) ** 2
+
+        def pen1(tau):
+            return min(model.p_at(tau), 0.0)
+
+        for crit, alpha in ((THM31B, 1.0), (THM32D, 1.0), (THM33G, 2.0), (THM31B, 1.5), (THM33G, 1.5)):
+            ref = []
+            for t in grid.points():
+                if crit == THM33G:
+                    ref.append(weighted(d_fn, alpha, t) / t ** alpha)
+                    continue
+                pen, coeff = (pen2, (alpha + 1.0) / 9.0) if crit == THM31B else (pen1, alpha + 1.0)
+                ref.append((weighted(d_fn, alpha + 1.0, t) - coeff * weighted(pen, alpha, t)) / t ** (alpha + 1.0))
+            ref = np.array(ref)
+            traj = criterion_kamenev(model, alpha, crit, grid, d_fn=d_fn)
+            rel = np.max(np.abs(traj.values - ref) / (1.0 + np.abs(ref)))
+            assert rel < 1e-9, (crit, alpha)
+            assert traj.verdict.kind == classify_limsup(ref).kind
 
     def test_lazer_criterion_trivial_model(self):
         # r = 1, q = 0: integrand is 1, so S = t - 1 and the verdict diverges

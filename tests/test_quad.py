@@ -1,6 +1,7 @@
 """Adaptive quadrature and cumulative-table tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,31 @@ BUMP_SRC = (
     "if(t - floor(t) <= floor(t)^(-5), "
     "-floor(t)^3 * sin(floor(t)^5 * pi * (t - floor(t)))^2, 0)"
 )
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _at_depth(depth, fn):
+    """fn() called with the stack ``depth`` frames deep."""
+    def descend(k):
+        return fn() if k <= 0 else descend(k - 1)
+
+    return descend(depth - _stack_depth() - 1)
+
+
+class _Counted:
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.f(t)
 
 
 class TestIntegrateAdaptive:
@@ -75,6 +101,25 @@ class TestIntegrateAdaptive:
     def test_eval_count_reported(self):
         res = integrate_adaptive(lambda t: math.sin(10 * t), 0.0, 5.0, 1e-10)
         assert res.evals > 5
+
+    def test_eval_count_equals_integrand_calls(self):
+        f = compile_fn(parse(BUMP_SRC))
+        counted = _Counted(lambda t: min(f(t), 0.0) ** 2)
+        edges = [9.0, 9.0 + 9.0**-5, 10.0, 10.0 + 10.0**-5]
+        res = integrate_adaptive(counted, 8.5, 10.5, 1e-10, breakpoints=edges)
+        assert res.evals == counted.calls > 0
+        # the depth-cap case of test_depth_cap_sets_warning
+        spike = _Counted(lambda t: 0.0 if t <= 0.0 else t**-0.5)
+        res = integrate_adaptive(spike, 0.0, 1.0, 1e-14)
+        assert res.warning
+        assert res.evals == spike.calls
+
+    def test_runs_near_the_recursion_limit(self):
+        # the refinement needs no stack of its own, so a caller a dozen
+        # frames below the limit can still integrate to a tight tolerance
+        depth = sys.getrecursionlimit() - 12
+        res = _at_depth(depth, lambda: integrate_adaptive(math.sin, 0.0, math.pi, 1e-12))
+        assert res.value == pytest.approx(2.0, abs=1e-11)
 
 
 class TestCumulative:
