@@ -20,21 +20,15 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
-from .coeffs import SignReport, p_minus
+from .coeffs import p_minus
 from .expr import compile_fn  # noqa: F401  -- perfbench's tracer test patches and restores cli.compile_fn
 from .fixtures import FIXTURES, Fixture, get_fixture
-from .kamenev import (
-    Check33fReport,
-    LimsupPolicy,
-    TheoremReport,
-    Verdict,
-    theorem_verdict,
-)
+from .kamenev import LimsupPolicy, TheoremReport, theorem_verdict
 from .ode import OdeControls, count_zeros, integrate_third_order, oscillation_report, state_at
 from .riccati import AS_WRITTEN, LINEARIZED, RiccatiProblem, comparison_check
 
@@ -69,7 +63,9 @@ def _parse_theorems(text: str | None, default: tuple) -> list:
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Write ``payload`` as sorted, indented JSON.  A result dataclass in it
+    is written as the dict of its fields, so report keys are field names."""
+    text = json.dumps(payload, sort_keys=True, indent=2, default=asdict) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
@@ -77,39 +73,16 @@ def _dump_json(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _status_dict(cs) -> dict:
-    return {"holds": cs.holds, "witness_t": cs.witness_t, "witness_value": cs.witness_value}
-
-
-def _sign_dict(sr: SignReport) -> dict:
-    return {
-        "holds": sr.holds,
-        "r_positive": _status_dict(sr.r_positive),
-        "q_nonpositive": _status_dict(sr.q_nonpositive),
-        "n_samples": sr.n_samples,
-        "span": sr.span,
-    }
-
-
-def _condition_dict(obj) -> dict:
-    if isinstance(obj, (Verdict, Check33fReport)):
-        return obj.as_dict()
-    if isinstance(obj, SignReport):
-        return _sign_dict(obj)
-    if isinstance(obj, dict):
-        return obj
-    raise TypeError(f"cannot serialize condition result {type(obj).__name__}")
-
-
 def _theorem_dict(rep: TheoremReport) -> dict:
+    """The report without its trajectories, which go to the CSV."""
     return {
         "theorem": rep.theorem,
         "alpha": rep.alpha,
         "overall": rep.overall,
-        "conditions": {k: _condition_dict(v) for k, v in rep.condition_results.items()},
-        "grid": rep.grid.as_dict(),
-        "policy": rep.policy.as_dict(),
-        "warnings": list(rep.warnings),
+        "conditions": rep.condition_results,
+        "grid": rep.grid,
+        "policy": rep.policy,
+        "warnings": rep.warnings,
     }
 
 
@@ -204,8 +177,8 @@ def cmd_check(args) -> int:
                 "theorems": theorems,
                 "alpha": fixture.alpha,
                 "alpha33": fixture.alpha33,
-                "grid": grid.as_dict(),
-                "policy": policy.as_dict(),
+                "grid": grid,
+                "policy": policy,
             },
         ),
         "theorem_reports": [_theorem_dict(r) for r in reports],
@@ -243,19 +216,8 @@ def cmd_verify(args) -> int:
             }
         ),
         "has_oscillatory_evidence": report.has_oscillatory_evidence,
-        "solutions": [
-            {
-                "label": s.label,
-                "initial": list(s.initial),
-                "zero_count": s.zero_count,
-                "last_zero": s.last_zero,
-                "classification": s.classification,
-                "status": s.status,
-                "t_end": s.t_end,
-            }
-            for s in report.solutions
-        ],
-        "warnings": list(report.warnings),
+        "solutions": report.solutions,
+        "warnings": report.warnings,
         "version": __version__,
     }
     _dump_json(payload, args.out)
@@ -436,6 +398,15 @@ def _add_model_flags(sp, with_d=True):
                         help="expression for the minimum function D, replacing the computed one")
 
 
+def _add_theorem_flags(sp):
+    sp.add_argument("--theorem", default=None,
+                    help="comma list of thm31,thm32,thm33,lazer or 'all' (default: all)")
+    sp.add_argument("--alpha", type=float, default=None, help="alpha for the weighted criteria")
+    sp.add_argument("--alpha33", type=float, default=None, help="alpha for the alpha>1 criterion (default 2)")
+    sp.add_argument("--split-p1", help="source for the integrable part of p_-")
+    sp.add_argument("--split-p2", help="source for the bounded part of p_-")
+
+
 def _add_grid_flags(sp):
     sp.add_argument("--grid-ratio", type=float, default=None, help="geometric grid ratio (default 1.15)")
     sp.add_argument("--grid-count", type=int, default=None, help="geometric grid length (default 120)")
@@ -453,12 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="evaluate theorem conditions")
     _add_model_flags(check)
-    check.add_argument("--theorem", default=None,
-                       help="comma list of thm31,thm32,thm33,lazer or 'all' (default: all)")
-    check.add_argument("--alpha", type=float, default=None, help="alpha for the weighted criteria")
-    check.add_argument("--alpha33", type=float, default=None, help="alpha for the alpha>1 criterion (default 2)")
-    check.add_argument("--split-p1", help="source for the integrable part of p_-")
-    check.add_argument("--split-p2", help="source for the bounded part of p_-")
+    _add_theorem_flags(check)
     _add_grid_flags(check)
     check.add_argument("--csv", help="write criterion trajectories to this CSV path")
     check.add_argument("--out", help="write the JSON report here (default stdout)")
@@ -480,9 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="evaluate checks over a parameter grid")
     _add_model_flags(sweep)
     sweep.add_argument("--sweep", action="append", required=True, metavar="NAME=START:STOP:STEP")
-    sweep.add_argument("--theorem", default=None)
-    sweep.add_argument("--alpha", type=float, default=None)
-    sweep.add_argument("--alpha33", type=float, default=None)
+    _add_theorem_flags(sweep)
     _add_grid_flags(sweep)
     sweep.add_argument("--tmax", type=float, default=30.0, help="horizon for the zero-count column")
     sweep.add_argument("--seed", type=int, default=0)

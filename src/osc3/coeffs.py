@@ -31,6 +31,8 @@ from . import expr
 _GOLDEN_FRAC = 0.6180339887498949  # (sqrt(5) - 1) / 2
 VALIDATE_N = 256  # build_model and a D override are probed at this many points
 SPLIT_N = 1024  # make_split probes p1, p2 and their sum at this many points
+SIGN_SPAN = 1e4  # condition (a) and p == 0 are sampled on [t0, t0 + SIGN_SPAN] ...
+SIGN_N = 1024  # ... and condition (a) at this many points
 
 
 class ModelError(ValueError):
@@ -61,9 +63,6 @@ class CoefficientModel:
     q_at: Callable[[float], float] = field(repr=False, default=None)
     r_at: Callable[[float], float] = field(repr=False, default=None)
     p_prime_at: Callable[[float], float] = field(repr=False, default=None)
-
-    def sources(self) -> dict:
-        return {"p": self.p.source, "q": self.q.source, "r": self.r.source}
 
 
 def probe(fns: Mapping[str, Callable[[float], float]], t0: float, n: int = VALIDATE_N) -> list:
@@ -206,32 +205,28 @@ class ConditionStatus:
 class SignReport:
     """Sampled check of the sign hypotheses r(t) > 0 (strict) and q(t) <= 0."""
 
+    holds: bool  # both hypotheses hold at every sample
     r_positive: ConditionStatus
     q_nonpositive: ConditionStatus
     n_samples: int
     span: float
 
-    @property
-    def holds(self) -> bool:
-        return self.r_positive.holds and self.q_nonpositive.holds
 
-
-def check_condition_a(model: CoefficientModel, span: float = 1e4, n: int = 1024) -> SignReport:
-    pts = sample_points(model.t0, span, n)
+def check_condition_a(model: CoefficientModel) -> SignReport:
     r_stat = ConditionStatus(True, None, None)
     q_stat = ConditionStatus(True, None, None)
-    for t in pts:
+    for t in sample_points(model.t0, SIGN_SPAN, SIGN_N).tolist():
         if r_stat.holds:
             rv = model.r_at(t)
             if not rv > 0.0:
-                r_stat = ConditionStatus(False, float(t), rv)
+                r_stat = ConditionStatus(False, t, rv)
         if q_stat.holds:
             qv = model.q_at(t)
             if qv > 0.0:
-                q_stat = ConditionStatus(False, float(t), qv)
+                q_stat = ConditionStatus(False, t, qv)
         if not r_stat.holds and not q_stat.holds:
             break
-    return SignReport(r_stat, q_stat, n, span)
+    return SignReport(r_stat.holds and q_stat.holds, r_stat, q_stat, SIGN_N, SIGN_SPAN)
 
 
 @dataclass

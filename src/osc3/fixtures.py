@@ -18,7 +18,6 @@ verification path the actual engineered equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 

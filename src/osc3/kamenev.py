@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .coeffs import (
+    SIGN_SPAN,
     CoefficientModel,
-    SignReport,
     SplitModel,
     check_condition_a,
     d_closed,
@@ -50,7 +50,7 @@ APPLIES = "APPLIES"
 DOES_NOT_APPLY = "DOES_NOT_APPLY"
 
 LAZER_CONST = 2.0 / (3.0 * math.sqrt(3.0))
-SIGN_SPAN = 1e4  # theorem_verdict samples condition (a) and p == 0 on [t0, t0 + SIGN_SPAN]
+TOL = 1e-9  # quadrature tolerance of every criterion
 HORIZON_33F = 1e4  # check_33f integrates |p1| out to this t
 
 
@@ -77,9 +77,6 @@ class GeometricGrid:
     def t_end(self) -> float:
         return float(self.t_start * self.ratio ** (self.count - 1))
 
-    def as_dict(self) -> dict:
-        return {"t_start": self.t_start, "ratio": self.ratio, "count": self.count}
-
 
 @dataclass(frozen=True)
 class LimsupPolicy:
@@ -87,32 +84,22 @@ class LimsupPolicy:
 
     The threshold is theta_scale * (1 + |S at the reference index|), so a
     criterion whose early samples are already large is judged on growth
-    beyond that scale rather than on an absolute number.
+    beyond that scale rather than on an absolute number.  Only the threshold
+    and the growth factor are settable; the other three are fixed, and a
+    report records all five.
     """
 
     theta_scale: float = 1e3
     growth_rho: float = 2.0
-    window_fraction: float = 0.25
-    bounded_rel: float = 0.05
-    theta_ref_index: int = 4
-
-    def as_dict(self) -> dict:
-        return {
-            "theta_scale": self.theta_scale,
-            "growth_rho": self.growth_rho,
-            "window_fraction": self.window_fraction,
-            "bounded_rel": self.bounded_rel,
-            "theta_ref_index": self.theta_ref_index,
-        }
+    window_fraction: float = field(init=False, default=0.25)
+    bounded_rel: float = field(init=False, default=0.05)
+    theta_ref_index: int = field(init=False, default=4)
 
 
 @dataclass
 class Verdict:
     kind: str
     evidence: dict
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "evidence": self.evidence}
 
 
 def classify_limsup(samples, policy: LimsupPolicy | None = None) -> Verdict:
@@ -231,13 +218,13 @@ def _d_fn_for(model: CoefficientModel, d_fn) -> Callable[[float], float]:
     return lambda t: d_closed(model, t)
 
 
-def _cumulative_at(f, a, pts, tol, breakpoints):
+def _cumulative_at(f, a, pts, breakpoints):
     """Values of int_a^{t_k} f for every grid point, plus the warning flag."""
-    tab = cumulative(f, a, list(pts), tol, breakpoints=breakpoints)
+    tab = cumulative(f, a, list(pts), TOL, breakpoints=breakpoints)
     return np.asarray(tab.values[-len(pts):], dtype=float), tab.warning
 
 
-def _moment_series(g, a, pts, m_int, tol, breakpoints):
+def _moment_series(g, a, pts, m_int, breakpoints):
     """int_a^{t_k} (t_k - tau)^m g(tau) dtau via the binomial moment expansion."""
     warn = False
     moments = []
@@ -245,7 +232,7 @@ def _moment_series(g, a, pts, m_int, tol, breakpoints):
         def fj(tau, _j=j):
             return tau ** _j * g(tau)
 
-        vals, w = _cumulative_at(fj, a, pts, tol, breakpoints)
+        vals, w = _cumulative_at(fj, a, pts, breakpoints)
         warn = warn or w
         moments.append(vals)
     out = np.zeros(len(pts))
@@ -254,7 +241,7 @@ def _moment_series(g, a, pts, m_int, tol, breakpoints):
     return out, warn
 
 
-def _direct_series(g, a, pts, m, tol, breakpoints):
+def _direct_series(g, a, pts, m, breakpoints):
     """Same integrals, one adaptive quadrature per grid point."""
     out = np.zeros(len(pts))
     warn = False
@@ -262,18 +249,18 @@ def _direct_series(g, a, pts, m, tol, breakpoints):
         if t <= a:
             continue
         res = integrate_adaptive(
-            lambda tau, _t=t: (_t - tau) ** m * g(tau), a, float(t), tol, breakpoints=breakpoints
+            lambda tau, _t=t: (_t - tau) ** m * g(tau), a, float(t), TOL, breakpoints=breakpoints
         )
         out[k] = res.value
         warn = warn or res.warning
     return out, warn
 
 
-def _weighted_series(g, a, pts, m, tol, breakpoints):
+def _weighted_series(g, a, pts, m, breakpoints):
     m_int = int(round(m))
     if abs(m - m_int) < 1e-12 and m_int >= 0:
-        return _moment_series(g, a, pts, m_int, tol, breakpoints)
-    return _direct_series(g, a, pts, m, tol, breakpoints)
+        return _moment_series(g, a, pts, m_int, breakpoints)
+    return _direct_series(g, a, pts, m, breakpoints)
 
 
 def cumulative_D(
@@ -283,7 +270,6 @@ def cumulative_D(
     *,
     d_fn=None,
     breakpoints=None,
-    tol: float = 1e-9,
     policy: LimsupPolicy | None = None,
 ) -> CriterionTrajectory:
     """Running integral S(t_k) = int_{t0}^{t_k} D, classified per criterion.
@@ -297,7 +283,7 @@ def cumulative_D(
     if pts[0] < model.t0:
         raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
     d = _d_fn_for(model, d_fn)
-    vals, warn = _cumulative_at(d, model.t0, pts, tol, breakpoints)
+    vals, warn = _cumulative_at(d, model.t0, pts, breakpoints)
     warnings = ["quadrature depth cap reached"] if warn else []
     if criterion_id == THM32C:
         verdict = classify_limsup(vals, policy)
@@ -314,7 +300,6 @@ def criterion_kamenev(
     *,
     d_fn=None,
     breakpoints=None,
-    tol: float = 1e-9,
     policy: LimsupPolicy | None = None,
 ) -> CriterionTrajectory:
     """Weighted-average criteria sampled along the grid.
@@ -342,10 +327,10 @@ def criterion_kamenev(
     d = _d_fn_for(model, d_fn)
     warnings = []
     if mode == THM33G:
-        series, warn = _weighted_series(d, a0, pts, alpha, tol, breakpoints)
+        series, warn = _weighted_series(d, a0, pts, alpha, breakpoints)
         vals = series / pts ** alpha
     else:
-        d_part, warn_d = _weighted_series(d, a0, pts, alpha + 1.0, tol, breakpoints)
+        d_part, warn_d = _weighted_series(d, a0, pts, alpha + 1.0, breakpoints)
         if mode == THM31B:
             def pen(tau):
                 v = p_minus(model, tau)
@@ -357,7 +342,7 @@ def criterion_kamenev(
                 return p_minus(model, tau)
 
             coeff = alpha + 1.0
-        p_part, warn_p = _weighted_series(pen, a0, pts, alpha, tol, breakpoints)
+        p_part, warn_p = _weighted_series(pen, a0, pts, alpha, breakpoints)
         vals = (d_part - coeff * p_part) / pts ** (alpha + 1.0)
         warn = warn_d or warn_p
     if warn:
@@ -383,7 +368,6 @@ def criterion_lazer(
     model: CoefficientModel,
     grid: GeometricGrid,
     *,
-    tol: float = 1e-9,
     policy: LimsupPolicy | None = None,
     breakpoints=None,
 ) -> CriterionTrajectory:
@@ -410,7 +394,7 @@ def criterion_lazer(
         )
     if any(model.q_at(t) > 1e-9 * scale for t in probe[:: max(len(probe) // 64, 1)]):
         warnings.append("q takes positive values; (-q)^(3/2) clamped at 0 there")
-    vals, warn = _cumulative_at(lazer_integrand(model), model.t0, pts, tol, breakpoints)
+    vals, warn = _cumulative_at(lazer_integrand(model), model.t0, pts, breakpoints)
     if warn:
         warnings.append("quadrature depth cap reached")
     verdict = classify_limsup(vals, policy)
@@ -427,24 +411,12 @@ class Check33fReport:
     sup_by_decade: list
     horizon: float
 
-    def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "integrable_ok": self.integrable_ok,
-            "integral_verdict": self.integral_verdict.as_dict(),
-            "integral_tail": self.integral_tail,
-            "bounded_ok": self.bounded_ok,
-            "sup_by_decade": self.sup_by_decade,
-            "horizon": self.horizon,
-        }
-
 
 def check_33f(
     split: SplitModel,
     horizon: float = HORIZON_33F,
     *,
     breakpoints=None,
-    tol: float = 1e-9,
     policy: LimsupPolicy | None = None,
 ) -> Check33fReport:
     """Split-coefficient condition: int |p1| finite and p2 bounded.
@@ -464,7 +436,7 @@ def check_33f(
     def abs_p1(t: float) -> float:
         return abs(split.p1_at(t))
 
-    vals, warn = _cumulative_at(abs_p1, model.t0, pts, tol, breakpoints)
+    vals, warn = _cumulative_at(abs_p1, model.t0, pts, breakpoints)
     verdict = classify_limsup(vals, policy)
     integrable_ok = verdict.kind == BOUNDED
 
@@ -510,45 +482,37 @@ _THEOREMS = ("THM31", "THM32", "THM33", "LAZER")
 _DEFAULT_ALPHA = {"THM31": 1.0, "THM32": 1.0, "THM33": 2.0, "LAZER": None}
 
 
-def _positive(letter: str, result) -> bool:
-    if letter == "a":
-        return bool(result.holds)
-    if letter in ("b", "c", "d", "g", "integral"):
-        return result.kind == DIVERGES
-    if letter == "e":
-        return result.kind == BOUNDED
-    if letter == "f":
-        return bool(result.holds)
-    if letter == "p_zero":
-        return bool(result["holds"])
-    raise KeyError(letter)
+def _outcome(letter: str, result) -> bool | None:
+    """True when a condition is established, False when it is refuted and
+    None when it is undecided.  Condition (e) asks S to stay bounded below,
+    so its verdict is wanted BOUNDED; every other verdict is wanted DIVERGES.
+    Sampled conditions are decided by their ``holds``."""
+    if isinstance(result, Verdict):
+        if result.kind == INCONCLUSIVE:
+            return None
+        return result.kind == (BOUNDED if letter == "e" else DIVERGES)
+    return result.holds
 
 
-def _negative(letter: str, result) -> bool:
-    if letter == "a":
-        return not result.holds
-    if letter in ("b", "c", "d", "g", "integral"):
-        return result.kind == BOUNDED
-    if letter == "e":
-        return result.kind == DIVERGES
-    if letter == "f":
-        return not result.holds
-    if letter == "p_zero":
-        return not result["holds"]
-    raise KeyError(letter)
+@dataclass
+class PZeroCheck:
+    """Sampled check that p vanishes, relative to the size of q and r."""
+
+    holds: bool
+    max_abs_p: float
+    at: float
 
 
-def _p_zero_check(model: CoefficientModel, span: float) -> dict:
-    probe = sample_points(model.t0, span=span, n=512)
+def _p_zero_check(model: CoefficientModel) -> PZeroCheck:
+    probe = sample_points(model.t0, span=SIGN_SPAN, n=512)
     worst_t, worst = model.t0, 0.0
     scale = 1.0
-    for t in probe:
+    for t in probe.tolist():
         v = abs(model.p_at(t))
         scale = max(scale, abs(model.q_at(t)) + abs(model.r_at(t)))
         if v > worst:
             worst, worst_t = v, t
-    holds = worst <= 1e-9 * (1.0 + scale)
-    return {"holds": holds, "max_abs_p": worst, "at": float(worst_t)}
+    return PZeroCheck(worst <= 1e-9 * (1.0 + scale), worst, worst_t)
 
 
 def theorem_verdict(
@@ -560,7 +524,6 @@ def theorem_verdict(
     policy: LimsupPolicy | None = None,
     d_fn=None,
     breakpoints=None,
-    tol: float = 1e-9,
 ) -> TheoremReport:
     """Evaluate every condition of one theorem and combine the verdicts.
 
@@ -584,7 +547,7 @@ def theorem_verdict(
     trajectories: dict = {}
     warnings: list = []
 
-    conditions["a"] = check_condition_a(model, span=SIGN_SPAN)
+    conditions["a"] = check_condition_a(model)
 
     def run(letter, traj):
         trajectories[letter] = traj
@@ -592,24 +555,22 @@ def theorem_verdict(
         warnings.extend(f"({letter}) {w}" for w in traj.warnings)
 
     if theorem == "THM31":
-        run("b", criterion_kamenev(model, alpha, THM31B, grid, d_fn=d_fn, breakpoints=breakpoints, tol=tol, policy=policy))
+        run("b", criterion_kamenev(model, alpha, THM31B, grid, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
     elif theorem == "THM32":
-        run("c", cumulative_D(model, grid, THM32C, d_fn=d_fn, breakpoints=breakpoints, tol=tol, policy=policy))
-        run("d", criterion_kamenev(model, alpha, THM32D, grid, d_fn=d_fn, breakpoints=breakpoints, tol=tol, policy=policy))
+        run("c", cumulative_D(model, grid, THM32C, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
+        run("d", criterion_kamenev(model, alpha, THM32D, grid, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
     elif theorem == "THM33":
-        run("e", cumulative_D(model, grid, THM33E, d_fn=d_fn, breakpoints=breakpoints, tol=tol, policy=policy))
-        conditions["f"] = check_33f(split, breakpoints=breakpoints, tol=tol, policy=policy)
-        run("g", criterion_kamenev(model, alpha, THM33G, grid, d_fn=d_fn, breakpoints=breakpoints, tol=tol, policy=policy))
+        run("e", cumulative_D(model, grid, THM33E, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
+        conditions["f"] = check_33f(split, breakpoints=breakpoints, policy=policy)
+        run("g", criterion_kamenev(model, alpha, THM33G, grid, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
     else:
-        conditions["p_zero"] = _p_zero_check(model, SIGN_SPAN)
-        traj = criterion_lazer(model, grid, tol=tol, policy=policy, breakpoints=breakpoints)
-        trajectories["integral"] = traj
-        conditions["integral"] = traj.verdict
-        warnings.extend(f"(integral) {w}" for w in traj.warnings)
+        conditions["p_zero"] = _p_zero_check(model)
+        run("integral", criterion_lazer(model, grid, policy=policy, breakpoints=breakpoints))
 
-    if all(_positive(k, v) for k, v in conditions.items()):
+    outcomes = [_outcome(k, v) for k, v in conditions.items()]
+    if all(outcomes):
         overall = APPLIES
-    elif any(_negative(k, v) for k, v in conditions.items()):
+    elif False in outcomes:
         overall = DOES_NOT_APPLY
     else:
         overall = INCONCLUSIVE

@@ -39,6 +39,7 @@ from .coeffs import CoefficientModel
 COMPLETED = "completed"
 BLOW_UP = "blow_up"
 STEP_UNDERFLOW = "step_underflow"
+ZERO_TOL = 1e-9  # count_zeros refines each zero to a bracket this wide
 
 
 @dataclass
@@ -53,7 +54,7 @@ class OdeControls:
     abs_tol: float = 1e-12
     h_max: float = 0.1
     blow_up: float = 1e30
-    zero_tol: float = 1e-9
+    zero_tol: float = field(init=False, default=ZERO_TOL)  # recorded in reports, not settable
     renorm_threshold: float | None = 1e150  # None disables rescaling
     feature_windows: Sequence[tuple] | None = None  # [(lo, hi), ...] narrow active regions
 
@@ -374,9 +375,9 @@ def _hermite(t0, t1, p0, d0, p1, d1, t):
     )
 
 
-def count_zeros(traj: SolutionTrajectory, zero_tol: float = 1e-9) -> list:
+def count_zeros(traj: SolutionTrajectory) -> list:
     """Sign-change zeros of phi, refined by bisection on the Hermite
-    interpolant to a bracket of width <= zero_tol."""
+    interpolant to a bracket of width <= ZERO_TOL."""
     ts = traj.t
     phi = traj.states[:, 0]
     dphi = traj.states[:, 1]
@@ -394,7 +395,7 @@ def count_zeros(traj: SolutionTrajectory, zero_tol: float = 1e-9) -> list:
         da, db = float(dphi[k]), float(dphi[k + 1]) * ratio
         lo, hi, flo = a, b, fa
         for _ in range(200):
-            if hi - lo <= zero_tol:
+            if hi - lo <= ZERO_TOL:
                 break
             mid = 0.5 * (lo + hi)
             fm = _hermite(a, b, fa, da, fb, db, mid)
@@ -484,13 +485,6 @@ class SolutionSummary:
 
 @dataclass
 class OscillationReport:
-    sources: dict
-    params: dict
-    t0: float
-    t_max: float
-    seed: int
-    min_zeros: int
-    controls: dict
     solutions: list
     has_oscillatory_evidence: bool
     warnings: list
@@ -520,7 +514,7 @@ def oscillation_report(
     warnings = []
     for label, init in runs:
         traj = integrate_third_order(model, init, t_max, controls)
-        zeros = count_zeros(traj, controls.zero_tol)
+        zeros = count_zeros(traj)
         cls = classify_lemma21(traj, zeros=zeros, min_zeros=min_zeros)
         summaries.append(
             SolutionSummary(
@@ -536,18 +530,7 @@ def oscillation_report(
         for w in traj.warnings:
             warnings.append(f"{label}: {w}")
     evidence = any(s.classification == OSCILLATORY_EVIDENCE for s in summaries)
-    return OscillationReport(
-        model.sources(),
-        dict(model.params),
-        model.t0,
-        float(t_max),
-        seed,
-        min_zeros,
-        controls.as_dict(),
-        summaries,
-        evidence,
-        warnings,
-    )
+    return OscillationReport(summaries, evidence, warnings)
 
 
 def wronskian(basis: Sequence[SolutionTrajectory], t: float, model: CoefficientModel | None = None) -> float:

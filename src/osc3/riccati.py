@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -124,15 +124,14 @@ def solve_riccati1(
 
 
 class _RunningIntegral:
-    """Integral of fn from a base point, extended incrementally.
+    """Integral of fn from a base point to tolerance 1e-12, extended incrementally.
 
     value_at(s) integrates only from the nearest previously visited point,
     so repeated queries from an adaptive outer quadrature stay cheap.
     """
 
-    def __init__(self, fn, base: float, tol: float = 1e-12):
+    def __init__(self, fn, base: float):
         self.fn = fn
-        self.tol = tol
         self.keys = [base]
         self.vals = {base: 0.0}
 
@@ -148,16 +147,16 @@ class _RunningIntegral:
             anchors.append(self.keys[i])
         a = min(anchors, key=lambda k: abs(k - s))
         if s >= a:
-            inc = integrate_adaptive(self.fn, a, s, self.tol).value
+            inc = integrate_adaptive(self.fn, a, s, 1e-12).value
         else:
-            inc = -integrate_adaptive(self.fn, s, a, self.tol).value
+            inc = -integrate_adaptive(self.fn, s, a, 1e-12).value
         v = self.vals[a] + inc
         bisect.insort(self.keys, s)
         self.vals[s] = v
         return v
 
 
-def bernoulli_closed(u_T1: float, T1: float, p_minus_fn: Callable[[float], float], t: float, *, tol: float = 1e-10) -> float:
+def bernoulli_closed(u_T1: float, T1: float, p_minus_fn: Callable[[float], float], t: float) -> float:
     """Explicit solution of u' + (3/2)u^2 + p_-(t)u = 0 with u(T1) = u_T1.
 
     u(t) = u(T1) E(t) / (1 + (3/2) u(T1) int_T1^t E), with
@@ -170,12 +169,12 @@ def bernoulli_closed(u_T1: float, T1: float, p_minus_fn: Callable[[float], float
         raise ValueError(f"t={t!r} precedes T1={T1!r}")
     if t == T1:
         return float(u_T1)
-    inner = _RunningIntegral(p_minus_fn, T1, tol=min(tol, 1e-12))
+    inner = _RunningIntegral(p_minus_fn, T1)
 
     def envelope(s: float) -> float:
         return math.exp(-inner.value_at(s))
 
-    denom_int = integrate_adaptive(envelope, T1, t, tol).value
+    denom_int = integrate_adaptive(envelope, T1, t, 1e-10).value
     return u_T1 * envelope(t) / (1.0 + 1.5 * u_T1 * denom_int)
 
 

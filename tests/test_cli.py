@@ -81,6 +81,21 @@ class TestCheck:
         assert main(argv + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--p", "-t", "--q", "0", "--r", "1", "--theorem", "lazer"],
+            ["check", "--p", "-1/t^2", "--q", "t", "--r", "1", "--theorem", "all"],
+        ],
+    )
+    def test_lazer_report_with_coefficient_linear_in_t(self, capsys, argv):
+        # a compiled t or -t returns the sample's numpy float, which once
+        # made p_zero.holds a numpy bool that json cannot write
+        doc = run_json(capsys, argv)
+        (lazer,) = [rep for rep in doc["theorem_reports"] if rep["theorem"] == "LAZER"]
+        assert lazer["conditions"]["p_zero"]["holds"] is False
+        assert lazer["overall"] == "DOES_NOT_APPLY"
+
     def test_param_override(self, capsys):
         doc = run_json(
             capsys,
@@ -147,6 +162,19 @@ class TestSweep:
         assert doc["theorem_reports"][0]["overall"] == "DOES_NOT_APPLY"
         rows = run_csv(capsys, ["sweep", "--sweep", "M=13:13:1", "--tmax", "6"] + argv)
         assert rows[0]["thm31_overall"] == "DOES_NOT_APPLY"
+
+    @pytest.mark.parametrize("p1", ["-1/t^2", "-1/t"])
+    def test_split_flags_reach_the_verdicts(self, capsys, p1):
+        # p_- = p1 + 0; with p1 = -1/t the integrable part is not
+        # integrable, so (f) fails where the default split p1 = 0 passes
+        argv = ["--p", p1, "--q", "0", "--r", "r0", "--param", "r0=1", "--theorem", "thm33",
+                "--grid-count", "40", "--split-p1", p1, "--split-p2", "0"]
+        doc = run_json(capsys, ["check"] + argv)
+        overall = doc["theorem_reports"][0]["overall"]
+        rows = run_csv(capsys, ["sweep", "--sweep", "r0=1:1:1", "--tmax", "5"] + argv)
+        assert rows[0]["thm33_overall"] == overall
+        if p1 == "-1/t":
+            assert overall == "DOES_NOT_APPLY"
 
     def test_policy_flags_reach_the_verdicts(self, capsys):
         argv = ["--p", "0", "--q", "0", "--r", "r0", "--param", "r0=1", "--theorem", "lazer",

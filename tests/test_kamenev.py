@@ -1,5 +1,6 @@
 """Weighted-average transform, limsup classifier, and theorem verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -105,9 +106,15 @@ class TestGridAndPolicy:
 
     def test_policy_round_trip(self):
         pol = LimsupPolicy(theta_scale=500.0, growth_rho=3.0)
-        d = pol.as_dict()
+        d = dataclasses.asdict(pol)
         assert d["theta_scale"] == 500.0
         assert d["growth_rho"] == 3.0
+
+    @pytest.mark.parametrize("name", ["window_fraction", "bounded_rel", "theta_ref_index"])
+    def test_fixed_policy_fields_are_recorded_not_set(self, name):
+        assert name in dataclasses.asdict(LimsupPolicy())
+        with pytest.raises(TypeError):
+            LimsupPolicy(**{name: 1})
 
 
 class TestClassifiers:
@@ -295,3 +302,27 @@ class TestTheoremVerdict:
         assert set(rep.trajectories) == {"c", "d"}
         assert rep.trajectories["c"].criterion_id == THM32C
         assert rep.trajectories["d"].criterion_id == THM32D
+
+    # the overall rule on a trivial model with a chosen D: a condition that
+    # stays undecided leaves the theorem INCONCLUSIVE, and (e), which wants
+    # BOUNDED where the others want DIVERGES, refutes THM33 when it diverges
+    def test_undecided_conditions_leave_thm32_inconclusive(self):
+        rep = theorem_verdict(build_model("0", "0", "1"), "THM32",
+                              grid=GeometricGrid(1.0, 1.15, 40), d_fn=lambda t: 1.0 / t)
+        assert rep.overall == INCONCLUSIVE
+        assert rep.condition_results["c"].kind == INCONCLUSIVE
+        assert rep.condition_results["d"].kind == INCONCLUSIVE
+
+    def test_bounded_e_and_undecided_g_leave_thm33_inconclusive(self):
+        rep = theorem_verdict(make_split(build_model("0", "0", "1")), "THM33",
+                              grid=GeometricGrid(1.0, 1.15, 40), d_fn=lambda t: 1.0 / t)
+        assert rep.overall == INCONCLUSIVE
+        assert rep.condition_results["e"].kind == BOUNDED
+        assert rep.condition_results["g"].kind == INCONCLUSIVE
+
+    def test_diverging_e_refutes_thm33(self):
+        rep = theorem_verdict(make_split(build_model("0", "0", "1")), "THM33",
+                              grid=GeometricGrid(1.0, 1.15, 40), d_fn=lambda t: -t)
+        assert rep.overall == DOES_NOT_APPLY
+        assert rep.condition_results["e"].kind == DIVERGES
+        assert rep.condition_results["g"].kind == BOUNDED

@@ -12,6 +12,7 @@ from osc3.ode import (
     OSCILLATORY_EVIDENCE,
     TYPE_2_1,
     TYPE_3_2,
+    ZERO_TOL,
     OdeControls,
     SolutionTrajectory,
     StepStats,
@@ -68,6 +69,12 @@ class TestZeroCounting:
         assert len(zeros) == 1
         assert zeros[0].t == pytest.approx(5.0, abs=1e-8)
         assert zeros[0].bracket_lo <= zeros[0].t <= zeros[0].bracket_hi
+        assert zeros[0].bracket_hi - zeros[0].bracket_lo <= ZERO_TOL
+
+    def test_zero_tol_is_recorded_not_set(self):
+        assert OdeControls().as_dict()["zero_tol"] == ZERO_TOL
+        with pytest.raises(TypeError):
+            OdeControls(zero_tol=1e-6)
 
     def test_positive_solution_has_no_zeros(self):
         traj = integrate_third_order(TRIPLE_ZERO, (2.0, 1.0, 0.0), 10.0)
