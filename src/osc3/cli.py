@@ -106,18 +106,19 @@ _FIELD_FLAGS = (("d_src", "d_override"), ("alpha", "alpha"), ("alpha33", "alpha3
 def _fixture(args, params: dict) -> Fixture:
     """The one problem a command works on: the named fixture with ``params``
     as overrides, or an unnamed one built from the raw sources.  The
-    command's D, alpha and grid flags replace the matching fields."""
+    command's D, split, alpha and grid flags replace the matching fields."""
     if args.fixture:
         fixture = get_fixture(args.fixture)
         fixture = replace(fixture, defaults=tuple(fixture.params_with(params).items()))
     elif args.p is None or args.q is None or args.r is None:
         raise ValueError("--p, --q, --r are required unless --fixture is given")
     else:
-        split = (getattr(args, "split_p1", None), getattr(args, "split_p2", None))
         fixture = Fixture(None, "command-line sources", args.p, args.q, args.r,
-                          defaults=tuple(params.items()), t0=args.t0,
-                          split_srcs=None if split == (None, None) else split)
+                          defaults=tuple(params.items()), t0=args.t0)
     flags = {name: getattr(args, flag, None) for name, flag in _FIELD_FLAGS}
+    split = (getattr(args, "split_p1", None), getattr(args, "split_p2", None))
+    if split != (None, None):
+        flags["split_srcs"] = split
     if flags["alpha33"] is None and flags["alpha"] is not None and flags["alpha"] > 1.0:
         flags["alpha33"] = flags["alpha"]
     return replace(fixture, **{name: v for name, v in flags.items() if v is not None})

@@ -33,7 +33,7 @@ from .coeffs import (
     p_minus,
     sample_points,
 )
-from .quad import cumulative, integrate_adaptive, integrate_gk
+from .quad import cumulative, integrate_adaptive
 
 THM31B = "THM31B"
 THM32C = "THM32C"
@@ -194,12 +194,12 @@ def kamenev_transform(f: Callable[[float], float], T: float, alpha: float, t: fl
     if t <= T:
         raise ValueError(f"t={t!r} must exceed T={T!r}")
     if alpha >= 1.0:
-        res = integrate_gk(lambda tau: (t - tau) ** (alpha - 1.0) * f(tau), T, t, tol)
+        res = integrate_adaptive(lambda tau: (t - tau) ** (alpha - 1.0) * f(tau), T, t, tol)
         integral = res.value
     else:
         s_max = (t - T) ** alpha
         inv = 1.0 / alpha
-        res = integrate_gk(lambda s: f(t - s ** inv), 0.0, s_max, tol)
+        res = integrate_adaptive(lambda s: f(t - s ** inv), 0.0, s_max, tol)
         integral = res.value / alpha
     if res.warning:
         _warnings.warn(f"quadrature depth cap reached in kamenev_transform at t={t:.6g}", RuntimeWarning)

@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature with cumulative tables, and Gauss-Kronrod.
+"""Adaptive Simpson quadrature with cumulative tables.
 
 The integrator is the classic adaptive Simpson scheme with Richardson
 extrapolation: a panel is accepted when the two-half refinement agrees with
@@ -114,41 +114,6 @@ def integrate_adaptive(
                 push((xm, rm, x1, fxm, frm, f1, right, half, depth + 1))
                 push((x0, lm, xm, f0, flm, fxm, left, half, depth + 1))
         value += done[0]
-    return QuadResult(value, warning, evals)
-
-
-# QUADPACK's qk15: Kronrod nodes from the outside in, their weights, Gauss-7 weights
-_XK = (0.991455371120812639, 0.949107912342758525, 0.864864423359769073, 0.741531185599394440,
-       0.586087235467691130, 0.405845151377397167, 0.207784955007898468)
-_WK = (0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.140653259715525919,
-       0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828)
-_WG = (0.129484966168869693, 0.279705391489276668, 0.381830050505118945, 0.417959183673469388)
-
-
-def integrate_gk(f: Callable[[float], float], a: float, b: float, tol: float = DEFAULT_TOL) -> QuadResult:
-    """Adaptive Gauss-Kronrod 7/15 for a smooth ``f``: 2**MIN_DEPTH equal panels,
-    each halved until its two estimates agree to ``integrate_adaptive``'s tolerance."""
-    if b < a:
-        raise ValueError("integrate_gk requires a <= b")
-    edges = [a + (b - a) * k / 2**MIN_DEPTH for k in range(2**MIN_DEPTH)] + [b]
-    tasks = [(lo, hi, MIN_DEPTH) for lo, hi in zip(edges[-2::-1], edges[:0:-1])] if a < b else []
-    value, evals, warning = 0.0, 0, False
-    while tasks:
-        lo, hi, depth = tasks.pop()
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        kron, gauss = _WK[7] * (fc := f(c)), _WG[3] * fc
-        for j, x in enumerate(_XK):
-            pair = f(c - h * x) + f(c + h * x)
-            kron += _WK[j] * pair
-            if j % 2:
-                gauss += _WG[j // 2] * pair
-        evals += 15
-        err, allow = h * abs(kron - gauss), tol * (hi - lo) / (b - a) + tol * h * abs(kron)
-        if err <= allow or depth >= MAX_DEPTH:
-            warning = warning or err > allow
-            value += h * kron
-        else:
-            tasks += [(c, hi, depth + 1), (lo, c, depth + 1)]
     return QuadResult(value, warning, evals)
 
 

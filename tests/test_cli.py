@@ -163,18 +163,29 @@ class TestSweep:
         rows = run_csv(capsys, ["sweep", "--sweep", "M=13:13:1", "--tmax", "6"] + argv)
         assert rows[0]["thm31_overall"] == "DOES_NOT_APPLY"
 
-    @pytest.mark.parametrize("p1", ["-1/t^2", "-1/t"])
-    def test_split_flags_reach_the_verdicts(self, capsys, p1):
+    @pytest.mark.parametrize(
+        "source, p1, sweep",
+        [
+            (["--p", "-1/t^2", "--q", "0", "--r", "r0", "--param", "r0=1"], "-1/t^2", "r0=1:1:1"),
+            (["--p", "-1/t", "--q", "0", "--r", "r0", "--param", "r0=1"], "-1/t", "r0=1:1:1"),
+            (["--fixture", "example31", "--param", "gamma=-1"], "-M*t^gamma", "N=1:1:1"),
+        ],
+    )
+    def test_split_flags_reach_the_verdicts(self, capsys, source, p1, sweep):
         # p_- = p1 + 0; with p1 = -1/t the integrable part is not
         # integrable, so (f) fails where the default split p1 = 0 passes
-        argv = ["--p", p1, "--q", "0", "--r", "r0", "--param", "r0=1", "--theorem", "thm33",
-                "--grid-count", "40", "--split-p1", p1, "--split-p2", "0"]
-        doc = run_json(capsys, ["check"] + argv)
+        argv = source + ["--theorem", "thm33", "--grid-count", "40"]
+        split = ["--split-p1", p1, "--split-p2", "0"]
+        doc = run_json(capsys, ["check"] + argv + split)
+        assert doc["config"]["split"] == [p1, "0"]
         overall = doc["theorem_reports"][0]["overall"]
-        rows = run_csv(capsys, ["sweep", "--sweep", "r0=1:1:1", "--tmax", "5"] + argv)
+        rows = run_csv(capsys, ["sweep", "--sweep", sweep, "--tmax", "5"] + argv + split)
         assert rows[0]["thm33_overall"] == overall
-        if p1 == "-1/t":
+        if p1 != "-1/t^2":
             assert overall == "DOES_NOT_APPLY"
+            assert not doc["theorem_reports"][0]["conditions"]["f"]["holds"]
+            default = run_json(capsys, ["check"] + argv)["theorem_reports"][0]
+            assert default["conditions"]["f"]["holds"]
 
     def test_policy_flags_reach_the_verdicts(self, capsys):
         argv = ["--p", "0", "--q", "0", "--r", "r0", "--param", "r0=1", "--theorem", "lazer",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from osc3.expr import compile_fn, parse
-from osc3.quad import CumulativeTable, cumulative, integrate_adaptive, integrate_gk
+from osc3.quad import CumulativeTable, cumulative, integrate_adaptive
 
 BUMP_SRC = (
     "if(t - floor(t) <= floor(t)^(-5), "
@@ -120,40 +120,6 @@ class TestIntegrateAdaptive:
         depth = sys.getrecursionlimit() - 12
         res = _at_depth(depth, lambda: integrate_adaptive(math.sin, 0.0, math.pi, 1e-12))
         assert res.value == pytest.approx(2.0, abs=1e-11)
-
-
-class TestIntegrateGK:
-    def test_polynomials(self):
-        # both rules are exact to degree 13, so the first panels are accepted
-        for k in (0, 4, 10, 13):
-            res = integrate_gk(lambda t, k=k: t**k, 0.0, 2.0, 1e-12)
-            assert res.value == pytest.approx(2.0 ** (k + 1) / (k + 1), rel=1e-14)
-            assert res.evals == 15 * 8 and not res.warning
-        res = integrate_gk(lambda t: t**22, 0.0, 2.0, 1e-12)
-        assert res.value == pytest.approx(2.0**23 / 23, rel=1e-14)
-
-    def test_sine_arch(self):
-        assert integrate_gk(math.sin, 0.0, math.pi, 1e-12).value == pytest.approx(2.0, abs=1e-13)
-
-    def test_matches_simpson_with_at_most_half_the_calls(self):
-        # the smooth oscillatory integrands kamenev_transform is tested on
-        f = lambda t: 0.7 + 1.3 * math.sin(2.9 * t) ** 2 + 0.4 * math.cos(1.7 * t) ** 2
-        for a, b in ((1.0, 17.0), (0.0, 5.4), (1.0, 29.0)):
-            gk = integrate_gk(f, a, b, 1e-7)
-            assert gk.value == pytest.approx(integrate_adaptive(f, a, b, 1e-12).value, rel=1e-11)
-            assert 2 * gk.evals <= integrate_adaptive(f, a, b, 1e-7).evals
-
-    def test_empty_and_reversed_intervals(self):
-        assert integrate_gk(lambda t: 5.0, 2.0, 2.0) == integrate_adaptive(lambda t: 5.0, 2.0, 2.0)
-        with pytest.raises(ValueError):
-            integrate_gk(lambda t: 1.0, 1.0, 0.0)
-
-    def test_depth_cap_sets_warning_and_evals_count_calls(self):
-        spike = _Counted(lambda t: t**-0.5)  # the nodes never touch t = 0
-        res = integrate_gk(spike, 0.0, 1.0, 1e-14)
-        assert res.warning
-        assert res.value == pytest.approx(2.0, abs=1e-6)
-        assert res.evals == spike.calls
 
 
 class TestCumulative:
