@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import expr
 
 _GOLDEN_FRAC = 0.6180339887498949  # (sqrt(5) - 1) / 2
-VALIDATE_N = 256  # build_model and a D override are probed at this many points
+PROBE_SPAN = 1e4  # probe samples [t0, t0 + PROBE_SPAN] ...
+VALIDATE_N = 256  # ... at this many points for build_model and a D override
 SPLIT_N = 1024  # make_split probes p1, p2 and their sum at this many points
 SIGN_SPAN = 1e4  # condition (a) and p == 0 are sampled on [t0, t0 + SIGN_SPAN] ...
 SIGN_N = 1024  # ... and condition (a) at this many points
@@ -65,14 +66,20 @@ class CoefficientModel:
     p_prime_at: Callable[[float], float] = field(repr=False, default=None)
 
 
-def probe(fns: Mapping[str, Callable[[float], float]], t0: float, n: int = VALIDATE_N) -> list:
-    """Values of each labelled function at the jittered points over [t0, t0 + 1e4].
+def probe(
+    fns: Mapping[str, Callable[[float], float]],
+    t0: float,
+    n: int = VALIDATE_N,
+    extra: Sequence[float] = (),
+) -> list:
+    """Values of each labelled function at the jittered points over
+    [t0, t0 + PROBE_SPAN], then at the ``extra`` points.
 
     Returns one (t, values) row per point.  A domain error or a non-finite
     value is a ModelError that names the label and the point.
     """
     rows = []
-    for t in sample_points(t0, n=n).tolist():
+    for t in sample_points(t0, PROBE_SPAN, n).tolist() + list(extra):
         values = []
         for label, fn in fns.items():
             try:
@@ -247,13 +254,17 @@ def make_split(
     model: CoefficientModel,
     p1_src: str | None = None,
     p2_src: str | None = None,
+    windows: Sequence[tuple] = (),
 ) -> SplitModel:
     """Build and validate a split of p_-.
 
     Defaults to the trivial split p1 = 0, p2 = min(p, 0), which is valid
     whenever p_- itself is bounded.  Validation probes p1 and p2 like the
-    coefficients, at SPLIT_N points, and requires p1 <= 0, p2 <= 0
-    (tolerance 1e-12) and p1 + p2 = p_- to a relative tolerance of 1e-9.
+    coefficients, at SPLIT_N points and then at the midpoint of every
+    window (lo, hi) of ``windows`` whose midpoint is above lo in double
+    precision, so that a bump narrower than the probe spacing is not
+    missed.  It requires p1 <= 0, p2 <= 0 (tolerance 1e-12) and
+    p1 + p2 = p_- to a relative tolerance of 1e-9.
     """
     names = tuple(model.params)
     if p1_src is None:
@@ -268,7 +279,8 @@ def make_split(
     split = SplitModel(model, p1, p2)
     split.p1_at = expr.compile_fn(p1, model.params)
     split.p2_at = expr.compile_fn(p2, model.params)
-    for t, (v1, v2) in probe({"p1": split.p1_at, "p2": split.p2_at}, model.t0, SPLIT_N):
+    midpoints = [mid for lo, hi in windows if (mid := 0.5 * (lo + hi)) > lo]
+    for t, (v1, v2) in probe({"p1": split.p1_at, "p2": split.p2_at}, model.t0, SPLIT_N, midpoints):
         if v1 > 1e-12 or v2 > 1e-12:
             raise ModelError(f"split parts must be nonpositive; violated at t={t:.6g}")
         pm = p_minus(model, t)

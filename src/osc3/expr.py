@@ -14,6 +14,7 @@ returned tree is correct away from the (measure zero) breakpoints.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -101,6 +102,25 @@ _ARITY = {name: 1 for name in _UNARY_FUNCS}
 _ARITY.update({"min": 2, "max": 2, "if": 3})
 
 _MAX_DEPTH = 100
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, (Const, Var, Param)):
+        return ()
+    if isinstance(node, Neg):
+        return (node.a,)
+    if isinstance(node, (Bin, Cmp)):
+        return (node.a, node.b)
+    if isinstance(node, If):
+        return (node.cond, node.then, node.other)
+    return node.args
+
+
+def _param_names(node: Node):
+    if isinstance(node, Param):
+        yield node.name
+    for child in _children(node):
+        yield from _param_names(child)
 
 
 @dataclass(frozen=True)
@@ -344,47 +364,146 @@ _COMPILE_NS = {f"_{name}": fn for name, fn in _FUNCS.items()}
 _COMPILE_NS.update(_pow=_pow, _div=_checked_div, __builtins__={})
 
 
+class _Code:
+    """A subtree left for run time.
+
+    ``parts`` are the pieces it is emitted from, in evaluation order: fixed
+    text, leaf text (``t`` or a literal) and child ``_Code``s.  An ``if``
+    holds just (condition, then, other) and sets ``is_if``, because its
+    condition runs first and then one branch.  ``key``, the text the subtree
+    emits without sharing, is its identity.
+    """
+
+    __slots__ = ("parts", "is_if", "key")
+
+    def __init__(self, parts: tuple, is_if: bool = False):
+        self.parts = parts
+        self.is_if = is_if
+        keys = [p.key if isinstance(p, _Code) else p for p in parts]
+        self.key = f"({keys[1]} if {keys[0]} != 0.0 else {keys[2]})" if is_if else "".join(keys)
+
+
+def _literal(value) -> str:
+    text = repr(value)
+    return f"({text})" if text.startswith("-") else text
+
+
+def _is_literal(piece) -> bool:
+    return isinstance(piece, str) and piece != "t"
+
+
+def _fold(node: Node, bound: Mapping[str, float]):
+    """The piece ``node`` emits, with every subtree that does not depend on
+    t computed: a literal, ``"t"``, or a :class:`_Code`.
+
+    A subtree whose children are all literals is computed by evaluating its
+    own text, so compile time runs exactly the code run time would.  It
+    stays code when that raises or gives a non-finite float.
+    """
+    if isinstance(node, Const):
+        return _literal(node.value)
+    if isinstance(node, Param):
+        return _literal(bound[node.name])
+    if isinstance(node, Var):
+        return "t"
+    if isinstance(node, If):
+        cond = _fold(node.cond, bound)
+        if _is_literal(cond):
+            return _fold(node.then if eval(cond, _COMPILE_NS) != 0.0 else node.other, bound)
+        return _Code((cond, _fold(node.then, bound), _fold(node.other, bound)), is_if=True)
+    if isinstance(node, Neg):
+        args, texts = (node.a,), ("(-", ")")
+    elif isinstance(node, Bin):
+        args = (node.a, node.b)
+        if node.op == "/":
+            texts = ("_div(", ", ", ", t)")
+        elif node.op == "^":
+            texts = ("_pow(", ", ", ")")
+        else:
+            texts = ("(", f" {node.op} ", ")")
+    elif isinstance(node, Cmp):
+        args, texts = (node.a, node.b), ("(1.0 if ", f" {node.op} ", " else 0.0)")
+    else:
+        args, texts = node.args, (f"_{node.fn}(", *[", "] * (len(node.args) - 1), ")")
+    pieces = [_fold(a, bound) for a in args]
+    parts = [texts[0]]
+    for piece, text in zip(pieces, texts[1:]):
+        parts += [piece, text]
+    code = _Code(tuple(parts))
+    if all(_is_literal(p) for p in pieces):
+        try:
+            value = eval(code.key, _COMPILE_NS, {"t": None})
+            if not isinstance(value, float) or math.isfinite(value):
+                return _literal(value)  # raises ValueError for an int too long to write out
+        except (ArithmeticError, ValueError):
+            pass
+    return code
+
+
 def compile_fn(ast: ExprAst, params: Mapping[str, float] | None = None) -> Callable[[float], float]:
     """Bind parameters and return a plain ``f(t) -> float``.
 
     This is the module's only evaluator and the hot path of quadrature and
-    ODE stepping: the AST becomes one Python lambda with constants and
-    parameter values inlined.  A missing or non-finite parameter raises here.
-    Domain failures raise EvalDomainError through small checked helpers;
-    there is no per-call finiteness check (:func:`evaluate` adds one).
+    ODE stepping: the AST becomes one Python lambda.  Every parameter in the
+    tree, also in an ``if`` branch that folds away, must be bound to a
+    finite value; otherwise this raises.
+
+    * Folded: every subtree without ``t`` is computed here by the same
+      helpers and inlined as the ``repr`` of its value, and an ``if`` whose
+      condition folds keeps only the taken branch.
+    * Left to run time: a subtree without ``t`` whose computation raises or
+      gives a non-finite float (``1/0``, ``sqrt(-1)``, ``9e307*9``), so it
+      raises or overflows at evaluation exactly where it did unfolded.
+    * Shared: a non-leaf subtree that occurs again where it is sure to have
+      been evaluated is bound once, ``(_cN := ...)``, at its first
+      occurrence in evaluation order, and read as ``_cN`` after that.  What
+      an ``if`` condition binds is visible in both branches; what a branch
+      binds stays in that branch, so an untaken branch never runs.
+      Identity is the emitted text.
+
+    No algebraic identities (``0*x``, ``x*1``) are applied; they would
+    change inf, NaN and the sign of zero.  Domain failures raise
+    EvalDomainError through small checked helpers; there is no per-call
+    finiteness check (:func:`evaluate` adds one).
     """
-    bound = dict(params or {})
+    return eval(_lambda_source(ast, params), dict(_COMPILE_NS))
 
-    def gen(node: Node) -> str:
-        if isinstance(node, Const):
-            return repr(node.value)
-        if isinstance(node, Var):
-            return "t"
-        if isinstance(node, Param):
-            if node.name not in bound:
-                raise UnboundParameterError(f"parameter {node.name!r} has no value")
-            value = float(bound[node.name])
-            if not math.isfinite(value):
-                # repr would inline 'inf' or 'nan', names the lambda cannot resolve
-                raise EvalDomainError(f"parameter {node.name}={value!r} is not finite")
-            return repr(value)
-        if isinstance(node, Neg):
-            return f"(-{gen(node.a)})"
-        if isinstance(node, Bin):
-            a, b = gen(node.a), gen(node.b)
-            if node.op == "/":
-                return f"_div({a}, {b}, t)"
-            if node.op == "^":
-                return f"_pow({a}, {b})"
-            return f"({a} {node.op} {b})"
-        if isinstance(node, Cmp):
-            return f"(1.0 if {gen(node.a)} {node.op} {gen(node.b)} else 0.0)"
-        if isinstance(node, If):
-            return f"({gen(node.then)} if {gen(node.cond)} != 0.0 else {gen(node.other)})"
-        return f"_{node.fn}({', '.join(gen(a) for a in node.args)})"
 
-    source = "lambda t: " + gen(ast.root)
-    return eval(source, dict(_COMPILE_NS))
+def _lambda_source(ast: ExprAst, params: Mapping[str, float] | None) -> str:
+    """The ``lambda t: ...`` text that :func:`compile_fn` evaluates."""
+    given = params or {}
+    bound = {}
+    for name in _param_names(ast.root):
+        if name not in given:
+            raise UnboundParameterError(f"parameter {name!r} has no value")
+        value = float(given[name])
+        if not math.isfinite(value):
+            # repr would inline 'inf' or 'nan', names the lambda cannot resolve
+            raise EvalDomainError(f"parameter {name}={value!r} is not finite")
+        bound[name] = value
+    root = _fold(ast.root, bound)
+    reused = set()
+
+    def emit(piece, scope: dict, count) -> str:
+        if not isinstance(piece, _Code):
+            return piece
+        if piece.key in scope:
+            n = scope[piece.key]
+            reused.add(n)
+            return f"_c{n}"
+        n = next(count)
+        if piece.is_if:
+            cond = emit(piece.parts[0], scope, count)
+            then = emit(piece.parts[1], dict(scope), count)
+            other = emit(piece.parts[2], dict(scope), count)
+            text = f"({then} if {cond} != 0.0 else {other})"
+        else:
+            text = "".join([emit(p, scope, count) for p in piece.parts])
+        scope[piece.key] = n
+        return f"(_c{n} := {text})" if n in reused else text
+
+    emit(root, {}, itertools.count())  # finds which subtrees are read again
+    return "lambda t: " + emit(root, {}, itertools.count())
 
 
 def evaluate(ast: ExprAst, t: float, params: Mapping[str, float] | None = None) -> float:
@@ -410,17 +529,7 @@ def evaluate(ast: ExprAst, t: float, params: Mapping[str, float] | None = None) 
 # Differentiation
 
 def _t_free(node: Node) -> bool:
-    if isinstance(node, Var):
-        return False
-    if isinstance(node, (Const, Param)):
-        return True
-    if isinstance(node, Neg):
-        return _t_free(node.a)
-    if isinstance(node, (Bin, Cmp)):
-        return _t_free(node.a) and _t_free(node.b)
-    if isinstance(node, If):
-        return _t_free(node.cond) and _t_free(node.then) and _t_free(node.other)
-    return all(_t_free(a) for a in node.args)
+    return not isinstance(node, Var) and all(_t_free(c) for c in _children(node))
 
 
 _ZERO = Const(0.0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .coeffs import CoefficientModel, SplitModel, build_model, make_split, probe
+from .coeffs import PROBE_SPAN, CoefficientModel, SplitModel, build_model, make_split, probe
 from .expr import compile_fn, parse
 from .kamenev import GeometricGrid
 
@@ -75,10 +75,9 @@ class Fixture:
         return build_model(self.p_src, self.q_src, r_src, self.params_with(overrides), t0=self.t0)
 
     def build_split(self, model: CoefficientModel) -> SplitModel:
-        if self.split_srcs is None:
-            return make_split(model)
-        p1, p2 = self.split_srcs
-        return make_split(model, p1_src=p1, p2_src=p2)
+        p1, p2 = self.split_srcs or (None, None)
+        windows = self.feature_windows(model.t0 + PROBE_SPAN) or ()
+        return make_split(model, p1_src=p1, p2_src=p2, windows=windows)
 
     def d_fn(self, overrides: dict | None = None) -> Callable[[float], float] | None:
         if not self.d_src:

@@ -258,6 +258,9 @@ class TestErrorPaths:
             ["check", "--p", "floor(t*9e307*9)", "--q", "0", "--r", "1"],
             ["check", "--p", "0", "--q", "0", "--r", "1", "--split-p1", "floor(t*9e307*9)",
              "--theorem", "thm33"],
+            # p1 = p2 = 0 passes every jittered probe point but misses each bump of p_-
+            ["check", "--fixture", "example32", "--theorem", "thm33", "--grid-count", "17",
+             "--split-p1", "0", "--split-p2", "0"],
         ],
     )
     def test_config_errors_return_2(self, argv, capsys):

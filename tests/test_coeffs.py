@@ -171,3 +171,20 @@ class TestSplit:
         assert sp.p1_at(t) + sp.p2_at(t) == 0.0
         t = 3 * math.pi / 2
         assert sp.p1_at(t) + sp.p2_at(t) == pytest.approx(-1.0)
+
+    def test_split_is_checked_on_every_representable_bump(self):
+        from osc3.fixtures import EXAMPLE32, bump_intervals
+
+        model = EXAMPLE32.build()
+        windows = bump_intervals(1e4)
+        # the jittered probe points alone miss every bump of p_-
+        make_split(model, "0", "0")
+        with pytest.raises(ModelError, match=r"split does not reconstruct min\(p, 0\) at t=1\.5$"):
+            make_split(model, "0", "0", windows=windows)
+        # the fixture's own split, p1 = p, holds at the midpoints too
+        EXAMPLE32.build_split(model)
+        # only a midpoint above the window's left edge is checked
+        spike = build_model("-(t >= 5)*(t <= 5)", "0", "1")
+        make_split(spike, "0", "0", windows=[(5.0, 5.0)])
+        with pytest.raises(ModelError, match="at t=5$"):
+            make_split(spike, "0", "0", windows=[(4.0, 6.0)])

@@ -1,6 +1,8 @@
 """Parser, evaluator, compiler, and symbolic derivative tests."""
 
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -13,15 +15,43 @@ from osc3.expr import (
     ExprSyntaxError,
     UnboundParameterError,
     UnknownIdentifierError,
+    _lambda_source,
     compile_fn,
     differentiate,
     evaluate,
     parse,
 )
+from osc3.fixtures import EXAMPLE31, EXAMPLE32
 
 
 def ev(src, t, params=None, param_names=()):
     return evaluate(parse(src, param_names=param_names), t, params)
+
+
+# example31's corrected r and example32's bump p at their default parameters,
+# written out in Python in the operation order of their sources
+def _r31_corrected(t, M=1.0, N=1.0, gamma=2.0, beta=2.0):
+    disc = M ** 2.0 * t ** (2.0 * gamma) - 3.0 * M * gamma * t ** (gamma - 1.0)
+    if (1.0 if disc < 0.0 else 0.0) != 0.0:
+        correction = 0.0
+    else:
+        u = (math.sqrt(disc) + M * t ** gamma) / 3.0
+        g = u ** 3.0 - M * t ** gamma * u ** 2.0 + M * gamma * t ** (gamma - 1.0) * u
+        correction = min(0.0, g)
+    return N * t ** beta - correction
+
+
+def _p32_bumps(t, M=13.0):
+    n = math.floor(t)
+    if (1.0 if t - n <= math.pow(n, -5.0) else 0.0) != 0.0:
+        return -M * math.pow(n, 3.0) * math.pow(math.sin(math.pow(n, 5.0) * math.pi * (t - n)), 2.0)
+    return 0.0
+
+
+# dense, plus 7 points on each bump [n, n + n^-5] of example32 up to n = 30
+_PARITY_T = np.linspace(1.0, 31.0, 6001).tolist() + [
+    n + k / 8.0 * n ** -5.0 for n in range(1, 31) for k in range(1, 8)
+]
 
 
 class TestParseEvaluate:
@@ -161,6 +191,29 @@ class TestCompiledParity:
             assert f(t) == reference(t)
             assert evaluate(ast, t) == reference(t)
 
+    @pytest.mark.parametrize(
+        "src, params, reference",
+        [
+            (EXAMPLE31.ode_r_src, dict(EXAMPLE31.defaults), _r31_corrected),
+            (EXAMPLE32.p_src, dict(EXAMPLE32.defaults), _p32_bumps),
+        ],
+        ids=["example31-corrected-r", "example32-p"],
+    )
+    def test_fixture_coefficients_bit_for_bit(self, src, params, reference):
+        f = compile_fn(parse(src, tuple(params)), params)
+        for t in _PARITY_T:
+            value, expected = f(t), reference(t)
+            assert value == expected and math.copysign(1.0, value) == math.copysign(1.0, expected), t
+
+    def test_corrected_r_source_is_folded_and_shared(self):
+        params = dict(EXAMPLE31.defaults)
+        source = _lambda_source(parse(EXAMPLE31.ode_r_src, tuple(params)), params)
+        assert source.count("_sqrt(") == 1
+        # the discriminant, computed in the if condition, is read again under the sqrt
+        assert source.count("_pow(t, 4.0)") == 1
+        literal = r"\(?-?[0-9][0-9.e+-]*\)?"
+        assert not re.search(rf"_pow\({literal}, {literal}\)", source), source
+
     def test_parameter_binding_baked_in(self):
         ast = parse("a*t + b", param_names=("a", "b"))
         f = compile_fn(ast, {"a": 2.5, "b": -1.0})
@@ -169,6 +222,48 @@ class TestCompiledParity:
         g = compile_fn(ast, {"a": 0.0, "b": 7.0})
         assert g(4.0) == 7.0
         assert f(4.0) == 9.0
+
+
+class TestFolding:
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("t + 1/0", "division by zero at t=1.0"),
+            ("ln(0)*t", "ln(0.0) undefined"),
+            ("sqrt(-1) + t", "sqrt(-1.0) undefined"),
+        ],
+    )
+    def test_failing_constant_subtree_raises_at_evaluation(self, src, message):
+        f = compile_fn(parse(src))
+        with pytest.raises(EvalDomainError) as info:
+            f(1.0)
+        assert str(info.value) == message
+
+    def test_overflowing_constant_is_left_to_run_time(self):
+        # folding 9e307*9 would inline 'inf', a name the lambda cannot resolve
+        assert compile_fn(parse("9e307*9*t"))(1.0) == math.inf
+
+    def test_unbound_parameter_in_folded_away_branch(self):
+        with pytest.raises(UnboundParameterError):
+            compile_fn(parse("if(1 > 0, t, M)", param_names=("M",)), {})
+
+    def test_signed_zeros_stay_apart(self):
+        assert math.copysign(1.0, compile_fn(parse("t*(-0.0)"))(1.0)) == -1.0
+        assert math.copysign(1.0, compile_fn(parse("t*0.0"))(1.0)) == 1.0
+        # equal as values, different as text: the second product is not the first
+        assert math.copysign(1.0, compile_fn(parse("-(t*0.0) + t*(-0.0)"))(1.0)) == -1.0
+
+    def test_repeated_subtree_under_untaken_branch_is_not_evaluated(self):
+        f = compile_fn(parse("if(t > 0, sqrt(t) + sqrt(t), 0) + if(t < 0, ln(-t)*ln(-t), 1)"))
+        assert f(4.0) == 5.0
+        assert f(-math.e) == 1.0
+        assert f(0.0) == 1.0
+
+    def test_branch_bindings_stay_in_their_branch(self):
+        # t*t in one branch is computed anew in the other branch and after the if
+        f = compile_fn(parse("if(t > 0, t*t, t*t + 1) + t*t"))
+        assert f(2.0) == 8.0
+        assert f(-2.0) == 9.0
 
 
 class TestDerivative:
@@ -228,3 +323,100 @@ def test_parser_never_crashes_unexpectedly(source):
     except ExprError:
         return
     assert isinstance(value, float)
+
+
+# A tree walker that shares nothing with the compiler: math and operators only.
+_WALK_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_WALK_CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _walk(node, t, params):
+    kind = type(node).__name__
+    if kind == "Const":
+        return node.value
+    if kind == "Var":
+        return t
+    if kind == "Param":
+        return params[node.name]
+    if kind == "Neg":
+        return -_walk(node.a, t, params)
+    if kind == "If":
+        cond = _walk(node.cond, t, params)
+        return _walk(node.then if cond != 0.0 else node.other, t, params)
+    if kind == "Cmp":
+        a, b = _walk(node.a, t, params), _walk(node.b, t, params)
+        return 1.0 if _WALK_CMP[node.op](a, b) else 0.0
+    if kind == "Bin":
+        a, b = _walk(node.a, t, params), _walk(node.b, t, params)
+        if node.op in _WALK_OPS:
+            return _WALK_OPS[node.op](a, b)
+        if node.op == "/":
+            if b == 0.0:
+                raise EvalDomainError("division by zero")
+            return a / b
+        try:
+            return math.pow(a, b)
+        except (ValueError, OverflowError):
+            raise EvalDomainError("pow") from None
+    args = [_walk(a, t, params) for a in node.args]
+    fn = node.fn
+    if fn == "exp":
+        try:
+            return math.exp(args[0])
+        except OverflowError:
+            raise EvalDomainError("exp") from None
+    if fn == "ln":
+        if args[0] <= 0.0:
+            raise EvalDomainError("ln")
+        return math.log(args[0])
+    if fn == "sqrt":
+        if args[0] < 0.0:
+            raise EvalDomainError("sqrt")
+        return math.sqrt(args[0])
+    return {"sin": math.sin, "cos": math.cos, "abs": abs, "floor": math.floor,
+            "min": min, "max": max}[fn](*args)
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared by class below
+        return type(exc)
+    return type(value), repr(value)
+
+
+_LEAVES = st.sampled_from(["t", "a", "b", "pi", "0", "0.5", "2", "3", "1e-3", "9e307"])
+
+
+def _grow(children):
+    pair = st.tuples(children, children)
+    return st.one_of(
+        pair.flatmap(lambda p: st.sampled_from(
+            [f"({p[0]}){op}({p[1]})" for op in ("+", "-", "*", "/", "^", "<", ">=")])),
+        children.map(lambda c: f"-({c})"),
+        children.flatmap(lambda c: st.sampled_from(
+            [f"{fn}({c})" for fn in ("sin", "cos", "exp", "ln", "abs", "sqrt", "floor")])),
+        pair.map(lambda p: f"min({p[0]}, {p[1]})"),
+        pair.map(lambda p: f"max({p[0]}, {p[1]})"),
+        st.tuples(children, children, children).map(lambda p: f"if({p[0]}, {p[1]}, {p[2]})"),
+        # repeated subtrees, also across an if, exercise the sharing
+        children.map(lambda c: f"({c})*({c}) - ({c})"),
+        pair.map(lambda p: f"if({p[0]}, ({p[1]})+({p[0]}), ({p[1]})*({p[1]}))"),
+    )
+
+
+_SOURCES = st.recursive(_LEAVES, _grow, max_leaves=10)
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.5, 3.0, 1e300, 1e-300])
+
+
+@settings(max_examples=300, deadline=None)
+@example("(t)*(t) - (t)", 0.0, 0.0, -0.0)
+@example("if(a, (sqrt(t))+(a), (sqrt(t))*(sqrt(t)))", 0.0, 1.0, -1.0)
+@given(_SOURCES, _VALUES, _VALUES, _VALUES)
+def test_compiled_matches_tree_walker(source, a, b, t):
+    """Folded and shared code gives the walker's value bit for bit, or
+    raises the same exception class."""
+    ast = parse(source, param_names=("a", "b"))
+    params = {"a": a, "b": b}
+    f = compile_fn(ast, params)
+    assert _outcome(f, t) == _outcome(_walk, ast.root, t, params), _lambda_source(ast, params)
