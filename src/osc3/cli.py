@@ -29,7 +29,7 @@ from .coeffs import p_minus
 from .expr import compile_fn  # noqa: F401  -- perfbench's tracer test patches and restores cli.compile_fn
 from .fixtures import FIXTURES, Fixture, get_fixture
 from .kamenev import LimsupPolicy, TheoremReport, theorem_verdict
-from .ode import OdeControls, count_zeros, integrate_third_order, oscillation_report, state_at
+from .ode import OdeControls, count_zeros, integrate_third_order, oscillation_report
 from .riccati import AS_WRITTEN, LINEARIZED, RiccatiProblem, comparison_check
 
 _THEOREM_KEYS = {"lazer": "LAZER", "thm31": "THM31", "thm32": "THM32", "thm33": "THM33"}
@@ -332,11 +332,11 @@ def build_comparison_fixture(name: str):
         )
 
         def y_fn(t):
-            st = state_at(traj, t, model)
+            st = traj.at(t)
             return st[1] / st[0]
 
         def h2_fn(t):
-            st = state_at(traj, t, model)
+            st = traj.at(t)
             y = st[1] / st[0]
             yp = st[2] / st[0] - y * y
             return -(yp + 1.5 * y * y + p_minus(model, t) * y)

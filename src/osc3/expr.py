@@ -536,43 +536,73 @@ _ZERO = Const(0.0)
 _ONE = Const(1.0)
 
 
+def _plus(x: Node, y: Node) -> Node:
+    """x + y, leaving out a term that is ``_ZERO``."""
+    if x is _ZERO:
+        return y
+    return x if y is _ZERO else Bin("+", x, y)
+
+
+def _minus(x: Node, y: Node) -> Node:
+    """x - y, leaving out a term that is ``_ZERO``."""
+    if y is _ZERO:
+        return x
+    return Neg(y) if x is _ZERO else Bin("-", x, y)
+
+
+def _times(x: Node, y: Node) -> Node:
+    """x * y, or ``_ZERO`` when either factor is ``_ZERO``."""
+    return _ZERO if x is _ZERO or y is _ZERO else Bin("*", x, y)
+
+
 def _d(node: Node) -> Node:
-    if isinstance(node, (Const, Param)):
+    """d/dt of ``node``.  An identically zero derivative (of a constant, a
+    parameter, ``floor`` or a comparison) is ``_ZERO``, and no sum or
+    product-rule term is built on it."""
+    if isinstance(node, (Const, Param, Cmp)):
+        # a comparison is a step function: zero derivative away from the jump
         return _ZERO
     if isinstance(node, Var):
         return _ONE
-    if isinstance(node, Neg):
-        return Neg(_d(node.a))
-    if isinstance(node, Cmp):
-        # step function: zero derivative away from the jump
-        return _ZERO
     if isinstance(node, If):
-        return If(node.cond, _d(node.then), _d(node.other))
+        dt, do = _d(node.then), _d(node.other)
+        return _ZERO if dt is _ZERO and do is _ZERO else If(node.cond, dt, do)
+    if isinstance(node, Neg):
+        da = _d(node.a)
+        return _ZERO if da is _ZERO else Neg(da)
     if isinstance(node, Bin):
         a, b = node.a, node.b
         da, db = _d(a), _d(b)
         if node.op == "+":
-            return Bin("+", da, db)
+            return _plus(da, db)
         if node.op == "-":
-            return Bin("-", da, db)
+            return _minus(da, db)
         if node.op == "*":
-            return Bin("+", Bin("*", da, b), Bin("*", a, db))
+            return _plus(_times(da, b), _times(a, db))
         if node.op == "/":
-            num = Bin("-", Bin("*", da, b), Bin("*", a, db))
-            return Bin("/", num, Bin("^", b, Const(2.0)))
+            num = _minus(_times(da, b), _times(a, db))
+            return _ZERO if num is _ZERO else Bin("/", num, Bin("^", b, Const(2.0)))
         # power
         if _t_free(b):
             # plain power rule; stays valid for negative bases with
             # integer exponents, unlike the exp/ln route
-            return Bin("*", Bin("*", b, Bin("^", a, Bin("-", b, _ONE))), da)
+            return _times(Bin("*", b, Bin("^", a, Bin("-", b, _ONE))), da)
         # general a^b = exp(b ln a), requires a > 0 at evaluation time
-        term1 = Bin("*", db, Call("ln", (a,)))
-        term2 = Bin("/", Bin("*", b, da), a)
-        return Bin("*", Bin("^", a, b), Bin("+", term1, term2))
+        term1 = _times(db, Call("ln", (a,)))
+        term2 = _ZERO if da is _ZERO else Bin("/", Bin("*", b, da), a)
+        return _times(Bin("^", a, b), _plus(term1, term2))
     # Call
     fn = node.fn
     a = node.args[0]
     da = _d(a)
+    if fn in ("min", "max"):
+        b = node.args[1]
+        db = _d(b)
+        if da is _ZERO and db is _ZERO:
+            return _ZERO
+        return If(Cmp("<=" if fn == "min" else ">=", a, b), da, db)
+    if da is _ZERO or fn == "floor":
+        return _ZERO
     if fn == "sin":
         return Bin("*", Call("cos", (a,)), da)
     if fn == "cos":
@@ -583,18 +613,11 @@ def _d(node: Node) -> Node:
         return Bin("/", da, a)
     if fn == "sqrt":
         return Bin("/", da, Bin("*", Const(2.0), Call("sqrt", (a,))))
-    if fn == "abs":
-        return If(Cmp(">=", a, _ZERO), da, Neg(da))
-    if fn == "floor":
-        return _ZERO
-    b = node.args[1]
-    db = _d(b)
-    if fn == "min":
-        return If(Cmp("<=", a, b), da, db)
-    return If(Cmp(">=", a, b), da, db)
+    return If(Cmp(">=", a, _ZERO), da, Neg(da))  # abs
 
 
 def differentiate(ast: ExprAst) -> ExprAst:
-    """Symbolic d/dt.  The result is an unsimplified tree, correct almost
+    """Symbolic d/dt.  The result is unsimplified except that no term is
+    built on an identically zero derivative; it is correct almost
     everywhere (floor and comparison breakpoints carry derivative zero)."""
     return ExprAst(_d(ast.root), f"d/dt({ast.source})")

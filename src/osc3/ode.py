@@ -5,8 +5,9 @@ third-order system here and the scalar Riccati equation in ``riccati``.  It
 is a Dormand-Prince 5(4) embedded pair with FSAL, step-size control on a
 mixed absolute/relative error norm, and a hard cap ``h_max`` on accepted
 steps so that stored samples are dense enough for zero counting.
-Between samples, phi is interpolated by a cubic Hermite polynomial built
-from the exact derivatives carried in the state (phi' and phi''), which
+It returns one ``Trajectory``: the accepted nodes with the state and the
+right side at each.  ``Trajectory.at`` interpolates every column between
+nodes by the cubic Hermite polynomial of those values and slopes, which
 keeps refined zero locations honest to well below the sample spacing.
 
 The equation is linear and homogeneous, so any positive rescaling of the
@@ -104,6 +105,59 @@ class _StepLimiter:
         return h
 
 
+def _hermite(t0, t1, p0, d0, p1, d1, t):
+    """Cubic Hermite interpolant at t of values p0, p1 and slopes d0, d1
+    given at t0 and t1."""
+    h = t1 - t0
+    s = (t - t0) / h
+    return (
+        (1.0 + 2.0 * s) * (1.0 - s) ** 2 * p0
+        + s * (1.0 - s) ** 2 * h * d0
+        + s * s * (3.0 - 2.0 * s) * p1
+        + s * s * (s - 1.0) * h * d1
+    )
+
+
+@dataclass
+class Trajectory:
+    """The accepted nodes of one ``_dopri`` run.
+
+    ``states[k]`` and ``slopes[k]`` are the state and the right side at
+    ``t[k]``, both stored divided by exp(log_scale[k]); ``log_scale`` is all
+    zeros when nothing was rescaled.  The columns are (phi, phi', phi'') for
+    the third-order system and y alone for a scalar Riccati equation.
+    """
+
+    t: np.ndarray
+    states: np.ndarray
+    slopes: np.ndarray
+    log_scale: np.ndarray
+    status: str
+    stats: StepStats
+    warnings: list = field(default_factory=list)
+
+    @property
+    def t_end(self) -> float:
+        return float(self.t[-1])
+
+    def _segment(self, t: float) -> int:
+        """Index k of the step [t[k], t[k+1]] that holds t."""
+        ts = self.t
+        if not (ts[0] <= t <= ts[-1]):
+            raise ValueError(f"t={t!r} outside trajectory span [{ts[0]}, {ts[-1]}]")
+        return min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
+
+    def at(self, t: float) -> np.ndarray:
+        """Every column at t by cubic Hermite interpolation of the stored
+        states and slopes, in the scale of node k = ``_segment(t)``."""
+        k = self._segment(t)
+        t0, t1 = self.t[k], self.t[k + 1]
+        ratio = math.exp(float(self.log_scale[k + 1]) - float(self.log_scale[k]))
+        return _hermite(
+            t0, t1, self.states[k], self.slopes[k], self.states[k + 1] * ratio, self.slopes[k + 1] * ratio, t
+        )
+
+
 def _dopri(
     deriv,
     t0: float,
@@ -124,17 +178,14 @@ def _dopri(
     ``deriv(t, a, b, c)`` returns the right side as a 3-tuple.  A shorter
     ``init`` is padded with zeros, which ``deriv`` must keep at zero
     derivative; the error norm is the RMS over the ``len(init)`` given
-    components, and ``ys``/``dys`` keep only those columns.  A step with a
+    components, and the trajectory keeps only those columns.  A step with a
     non-finite stage is rejected and retried at a fifth of its size.
 
-    Returns (ts, ys, dys, scales, status, stats).  ``dys`` holds the right
-    side at every stored node, which is what cubic Hermite interpolation
-    between nodes needs.  When ``renorm_threshold`` is set the stored state
-    is rescaled to unit norm whenever it passes the threshold; this is only
-    valid for right sides that are 1-homogeneous in the state (linear
-    equations).  ``scales[i]`` is the natural log of the factor relating
-    stored sample i to the true solution (true = stored * exp(scale)); all
-    zeros with renormalization off.
+    The right side at every node is the FSAL stage, so the returned
+    ``Trajectory`` keeps it as ``slopes`` at no extra evaluation.  When
+    ``renorm_threshold`` is set the state is rescaled to unit norm whenever
+    it passes the threshold; this is only valid for right sides that are
+    1-homogeneous in the state (linear equations).
     """
     a21 = 0.2
     a31, a32 = 3.0 / 40.0, 9.0 / 40.0
@@ -251,7 +302,9 @@ def _dopri(
             stats.rejected += 1
             fac = max(0.1, 0.9 * err ** -0.2)
         h *= fac
-    return np.array(ts), np.array(ys)[:, :dim], np.array(dys)[:, :dim], np.array(scales), status, stats
+    return Trajectory(
+        np.array(ts), np.array(ys)[:, :dim], np.array(dys)[:, :dim], np.array(scales), status, stats
+    )
 
 
 def _linear_rhs(model: CoefficientModel):
@@ -265,40 +318,17 @@ def _linear_rhs(model: CoefficientModel):
     return deriv
 
 
-@dataclass
-class SolutionTrajectory:
-    t: np.ndarray
-    states: np.ndarray  # columns phi, phi', phi''
-    initial: tuple
-    t_target: float
-    status: str
-    stats: StepStats
-    warnings: list = field(default_factory=list)
-    log_scale: np.ndarray | None = None  # ln(true/stored) per sample; None means all zero
-
-    @property
-    def t_end(self) -> float:
-        return float(self.t[-1])
-
-    def scale_ratio(self, k: int) -> float:
-        """exp(log_scale[k+1] - log_scale[k]): multiplies stored sample k+1
-        to express it in the scale of sample k."""
-        if self.log_scale is None:
-            return 1.0
-        return math.exp(float(self.log_scale[k + 1]) - float(self.log_scale[k]))
-
-
 def integrate_third_order(
     model: CoefficientModel,
     initial: Sequence[float],
     t_max: float,
     controls: OdeControls | None = None,
-) -> SolutionTrajectory:
+) -> Trajectory:
     """Integrate one solution from state (phi, phi', phi'') at model.t0."""
     if not t_max > model.t0:
         raise ValueError(f"t_max={t_max} must exceed t0={model.t0}")
     controls = controls or OdeControls()
-    ts, ys, _, scales, status, stats = _dopri(
+    traj = _dopri(
         _linear_rhs(model),
         model.t0,
         initial,
@@ -310,15 +340,13 @@ def integrate_third_order(
         windows=controls.feature_windows,
         renorm_threshold=controls.renorm_threshold,
     )
-    warnings = []
-    if status == BLOW_UP:
-        warnings.append(f"trajectory truncated at t={ts[-1]:.6g}: |state| exceeded {controls.blow_up:.3g}")
-    elif status == STEP_UNDERFLOW:
-        warnings.append(f"trajectory truncated at t={ts[-1]:.6g}: step size underflow")
-    log_scale = scales if float(scales[-1]) != 0.0 else None
-    return SolutionTrajectory(
-        ts, ys, tuple(float(v) for v in initial), float(t_max), status, stats, warnings, log_scale
-    )
+    if traj.status == BLOW_UP:
+        traj.warnings.append(
+            f"trajectory truncated at t={traj.t_end:.6g}: |state| exceeded {controls.blow_up:.3g}"
+        )
+    elif traj.status == STEP_UNDERFLOW:
+        traj.warnings.append(f"trajectory truncated at t={traj.t_end:.6g}: step size underflow")
+    return traj
 
 
 def fundamental_basis(
@@ -329,32 +357,6 @@ def fundamental_basis(
     return [integrate_third_order(model, init, t_max, controls) for init in eye]
 
 
-def state_at(traj: SolutionTrajectory, t: float, model: CoefficientModel | None = None) -> np.ndarray:
-    """Interpolated (phi, phi', phi'') at t inside the trajectory span.
-
-    phi and phi' use cubic Hermite with their exact stored derivatives; for
-    phi'' the needed phi''' comes from the ODE right side when a model is
-    given, else linear interpolation.
-    """
-    ts = traj.t
-    if not (ts[0] <= t <= ts[-1]):
-        raise ValueError(f"t={t!r} outside trajectory span [{ts[0]}, {ts[-1]}]")
-    k = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
-    t0, t1 = ts[k], ts[k + 1]
-    y0, y1 = traj.states[k], traj.states[k + 1] * traj.scale_ratio(k)
-    if t1 - t0 == 0.0:
-        return y0.copy()
-    phi = _hermite(t0, t1, y0[0], y0[1], y1[0], y1[1], t)
-    dphi = _hermite(t0, t1, y0[1], y0[2], y1[1], y1[2], t)
-    if model is not None:
-        deriv = _linear_rhs(model)
-        ddphi = _hermite(t0, t1, y0[2], deriv(t0, *y0)[2], y1[2], deriv(t1, *y1)[2], t)
-    else:
-        s = (t - t0) / (t1 - t0)
-        ddphi = (1.0 - s) * y0[2] + s * y1[2]
-    return np.array((phi, dphi, ddphi))
-
-
 @dataclass
 class ZeroRecord:
     t: float
@@ -362,37 +364,26 @@ class ZeroRecord:
     bracket_hi: float
 
 
-def _hermite(t0, t1, p0, d0, p1, d1, t):
-    """Cubic Hermite interpolant at t of values p0, p1 and slopes d0, d1
-    given at t0 and t1."""
-    h = t1 - t0
-    s = (t - t0) / h
-    return (
-        (1.0 + 2.0 * s) * (1.0 - s) ** 2 * p0
-        + s * (1.0 - s) ** 2 * h * d0
-        + s * s * (3.0 - 2.0 * s) * p1
-        + s * s * (s - 1.0) * h * d1
-    )
-
-
-def count_zeros(traj: SolutionTrajectory) -> list:
+def count_zeros(traj: Trajectory) -> list:
     """Sign-change zeros of phi, refined by bisection on the Hermite
     interpolant to a bracket of width <= ZERO_TOL."""
-    ts = traj.t
-    phi = traj.states[:, 0]
-    dphi = traj.states[:, 1]
+    ts = traj.t.tolist()
+    phi = traj.states[:, 0].tolist()
+    dphi = traj.states[:, 1].tolist()
+    log_scale = traj.log_scale
     zeros = []
     for k in range(len(ts) - 1):
-        a, b = float(ts[k]), float(ts[k + 1])
-        ratio = traj.scale_ratio(k)
-        fa, fb = float(phi[k]), float(phi[k + 1]) * ratio
+        a = ts[k]
+        fa, fb = phi[k], phi[k + 1]
         if fa == 0.0:
             if not zeros or zeros[-1].t != a:
                 zeros.append(ZeroRecord(a, a, a))
             continue
+        # the factor to the scale of node k is >= 1, so it cannot decide the sign
         if fa * fb >= 0.0:
             continue
-        da, db = float(dphi[k]), float(dphi[k + 1]) * ratio
+        ratio = math.exp(float(log_scale[k + 1]) - float(log_scale[k]))
+        b, fb, da, db = ts[k + 1], fb * ratio, dphi[k], dphi[k + 1] * ratio
         lo, hi, flo = a, b, fa
         for _ in range(200):
             if hi - lo <= ZERO_TOL:
@@ -405,7 +396,7 @@ def count_zeros(traj: SolutionTrajectory) -> list:
                 lo, flo = mid, fm
         zeros.append(ZeroRecord(0.5 * (lo + hi), lo, hi))
     if len(ts) and phi[-1] == 0.0:
-        t_last = float(ts[-1])
+        t_last = ts[-1]
         if not zeros or zeros[-1].t != t_last:
             zeros.append(ZeroRecord(t_last, t_last, t_last))
     return zeros
@@ -420,7 +411,7 @@ UNCLASSIFIED = "UNCLASSIFIED"
 
 
 def classify_lemma21(
-    traj: SolutionTrajectory,
+    traj: Trajectory,
     *,
     min_zeros: int = 5,
     zeros: list | None = None,
@@ -533,7 +524,7 @@ def oscillation_report(
     return OscillationReport(summaries, evidence, warnings)
 
 
-def wronskian(basis: Sequence[SolutionTrajectory], t: float, model: CoefficientModel | None = None) -> float:
+def wronskian(basis: Sequence[Trajectory], t: float) -> float:
     """Determinant of the basis state matrix at t (columns are solutions).
 
     Renormalized trajectories store rescaled samples; the recorded log
@@ -543,12 +534,8 @@ def wronskian(basis: Sequence[SolutionTrajectory], t: float, model: CoefficientM
     all significance regardless of bookkeeping, so consistency checks
     against the first-order trace formula should stay at moderate t.
     """
-    cols = [state_at(traj, t, model) for traj in basis]
-    log_total = 0.0
-    for traj in basis:
-        if traj.log_scale is not None:
-            k = min(int(np.searchsorted(traj.t, t, side="right")) - 1, len(traj.t) - 2)
-            log_total += float(traj.log_scale[k])
+    cols = [traj.at(t) for traj in basis]
+    log_total = sum(float(traj.log_scale[traj._segment(t)]) for traj in basis)
     det = float(np.linalg.det(np.column_stack(cols)))
     if log_total == 0.0 or det == 0.0:
         return det

@@ -16,16 +16,14 @@ pointwise y1 >= y2 verdict.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .coeffs import CoefficientModel
-from .ode import BLOW_UP, COMPLETED, STEP_UNDERFLOW, OdeControls, SolutionTrajectory, StepStats
-from .ode import _dopri, _hermite
+from .ode import BLOW_UP, COMPLETED, STEP_UNDERFLOW, OdeControls, Trajectory, _dopri
 from .quad import integrate_adaptive
 
 AS_WRITTEN = "AS_WRITTEN"
@@ -61,35 +59,11 @@ class RiccatiProblem:
         self.h_at = _as_fn(self.h)
 
 
-@dataclass
-class Riccati1Solution:
-    t: np.ndarray
-    y: np.ndarray
-    dy: np.ndarray
-    status: str
-    stats: StepStats
-    warnings: list = field(default_factory=list)
-
-    @property
-    def t_end(self) -> float:
-        return float(self.t[-1])
-
-    def y_at(self, t: float) -> float:
-        """Cubic Hermite interpolation between stored nodes."""
-        ts = self.t
-        if not (ts[0] <= t <= ts[-1]):
-            raise ValueError(f"t={t!r} outside solution span [{ts[0]}, {ts[-1]}]")
-        k = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
-        t0, t1 = ts[k], ts[k + 1]
-        if t1 - t0 == 0.0:
-            return float(self.y[k])
-        return float(_hermite(t0, t1, self.y[k], self.dy[k], self.y[k + 1], self.dy[k + 1], t))
-
-
 def solve_riccati1(
     prob: RiccatiProblem, t_max: float, controls: OdeControls | None = None
-) -> Riccati1Solution:
-    """Integrate y' = -(f y^2 + g y + h) from (t_start, y_start).
+) -> Trajectory:
+    """Integrate y' = -(f y^2 + g y + h) from (t_start, y_start); y is the
+    one column of the returned trajectory.
 
     Solutions escaping |y| > controls.blow_up stop there with status
     BLOW_UP, so ``t_end`` is the escape time; step underflow while chasing a
@@ -103,7 +77,7 @@ def solve_riccati1(
     def deriv(t, v, _b, _c):
         return -(f_at(t) * v * v + g_at(t) * v + h_at(t)), 0.0, 0.0
 
-    ts, ys, dys, _, status, stats = _dopri(
+    traj = _dopri(
         deriv,
         prob.t_start,
         (prob.y_start,),
@@ -114,46 +88,12 @@ def solve_riccati1(
         blow_up=controls.blow_up,
         windows=controls.feature_windows,
     )
-    warnings = []
-    if status == STEP_UNDERFLOW:
-        status = BLOW_UP
-        warnings.append(f"step underflow at t={ts[-1]:.6g}, treated as blow-up")
-    if status == BLOW_UP:
-        warnings.append(f"solution escaped |y|>{controls.blow_up:.3g} near t={ts[-1]:.6g}")
-    return Riccati1Solution(ts, ys[:, 0], dys[:, 0], status, stats, warnings)
-
-
-class _RunningIntegral:
-    """Integral of fn from a base point to tolerance 1e-12, extended incrementally.
-
-    value_at(s) integrates only from the nearest previously visited point,
-    so repeated queries from an adaptive outer quadrature stay cheap.
-    """
-
-    def __init__(self, fn, base: float):
-        self.fn = fn
-        self.keys = [base]
-        self.vals = {base: 0.0}
-
-    def value_at(self, s: float) -> float:
-        got = self.vals.get(s)
-        if got is not None:
-            return got
-        i = bisect.bisect_left(self.keys, s)
-        anchors = []
-        if i > 0:
-            anchors.append(self.keys[i - 1])
-        if i < len(self.keys):
-            anchors.append(self.keys[i])
-        a = min(anchors, key=lambda k: abs(k - s))
-        if s >= a:
-            inc = integrate_adaptive(self.fn, a, s, 1e-12).value
-        else:
-            inc = -integrate_adaptive(self.fn, s, a, 1e-12).value
-        v = self.vals[a] + inc
-        bisect.insort(self.keys, s)
-        self.vals[s] = v
-        return v
+    if traj.status == STEP_UNDERFLOW:
+        traj.status = BLOW_UP
+        traj.warnings.append(f"step underflow at t={traj.t_end:.6g}, treated as blow-up")
+    if traj.status == BLOW_UP:
+        traj.warnings.append(f"solution escaped |y|>{controls.blow_up:.3g} near t={traj.t_end:.6g}")
+    return traj
 
 
 def bernoulli_closed(u_T1: float, T1: float, p_minus_fn: Callable[[float], float], t: float) -> float:
@@ -169,10 +109,9 @@ def bernoulli_closed(u_T1: float, T1: float, p_minus_fn: Callable[[float], float
         raise ValueError(f"t={t!r} precedes T1={T1!r}")
     if t == T1:
         return float(u_T1)
-    inner = _RunningIntegral(p_minus_fn, T1)
 
     def envelope(s: float) -> float:
-        return math.exp(-inner.value_at(s))
+        return math.exp(-integrate_adaptive(p_minus_fn, T1, s, 1e-12).value)
 
     denom_int = integrate_adaptive(envelope, T1, t, 1e-10).value
     return u_T1 * envelope(t) / (1.0 + 1.5 * u_T1 * denom_int)
@@ -189,7 +128,7 @@ class ResidualReport:
 
 def riccati2_residual(
     model: CoefficientModel,
-    traj: SolutionTrajectory,
+    traj: Trajectory,
     *,
     window: tuple | None = None,
 ) -> ResidualReport:
@@ -265,8 +204,8 @@ class ComparisonReport:
     hypothesis_min: float
     trace_grid: np.ndarray
     trace: np.ndarray
-    y1: Riccati1Solution
-    y2: Riccati1Solution
+    y1: Trajectory
+    y2: Trajectory
     ordering_ok: bool
     first_violation: tuple | None
     preconditions: dict
@@ -284,8 +223,8 @@ class ComparisonReport:
             "preconditions": self.preconditions,
             "y1_status": self.y1.status,
             "y2_status": self.y2.status,
-            "y1_end": float(self.y1.y[-1]),
-            "y2_end": float(self.y2.y[-1]),
+            "y1_end": float(self.y1.states[-1, 0]),
+            "y2_end": float(self.y2.states[-1, 0]),
             "n_trace_points": int(len(self.trace_grid)),
             "warnings": list(self.warnings),
         }
@@ -374,7 +313,7 @@ def comparison_check(
         raise ComparisonPreconditionError("f1_nonnegative", f"f1({grid[k]:.6g}) = {f1_vals[k]:.3e}")
     preconditions["f1_nonnegative"] = {"ok": True, "min": float(np.min(f1_vals))}
 
-    y2_t0 = float(y2.y[0])
+    y2_t0 = float(y2.states[0, 0])
     for name, fn in (("eta1", eta1_fn), ("eta2", eta2_fn)):
         v0 = fn(t0)
         if y2_t0 > v0 + 1e-12 * (1.0 + abs(v0)):
@@ -399,7 +338,7 @@ def comparison_check(
     # weighted hypothesis trace along the grid
     w = np.array([prob1.f_at(t) * (eta1_fn(t) + eta2_fn(t)) + prob1.g_at(t) for t in grid])
     expo = _cumtrapz(grid, w)
-    y2_vals = np.array([y2.y_at(t) for t in grid])
+    y2_vals = np.array([y2.at(t)[0] for t in grid])
     df = np.array([prob2.f_at(t) - prob1.f_at(t) for t in grid])
     dg = np.array([prob2.g_at(t) - prob1.g_at(t) for t in grid])
     dhh = np.array([prob2.h_at(t) - prob1.h_at(t) for t in grid])
@@ -410,7 +349,7 @@ def comparison_check(
     hyp_tol = 1e-9 * (1.0 + float(np.max(np.abs(trace))))
     hypothesis_ok = bool(hyp_min >= -hyp_tol)
 
-    y1_vals = np.array([y1.y_at(t) for t in grid])
+    y1_vals = np.array([y1.at(t)[0] for t in grid])
     tol = np.maximum(1e-8, 1e-6 * np.abs(y2_vals))
     viol = np.nonzero(y1_vals < y2_vals - tol)[0]
     if len(viol):

@@ -215,7 +215,7 @@ def test_criterion_7_explicit_solution_formula(capsys):
             for u1 in (0.25, 0.5, 1.0, 2.0, 4.0):
                 sol = solve_riccati1(RiccatiProblem(1.5, pm, 0.0, 1.0, u1), 6.0)
                 for t in (2.0, 4.0, 6.0):
-                    assert abs(bernoulli_closed(u1, 1.0, pm, t) - sol.y_at(t)) <= 1e-6
+                    assert abs(bernoulli_closed(u1, 1.0, pm, t) - sol.at(t)[0]) <= 1e-6
                 checked += 1
         assert checked == 20
 
@@ -227,14 +227,14 @@ def test_criterion_8_comparison_harness(capsys):
         p = RiccatiProblem(1.0, 0.0, 0.0, 0.0, 1.0)
         ident = comparison_check(p, p, 1.0, 1.0, 1.0, 5.0)
         assert ident.ordering_ok and ident.hypothesis_ok
-        assert max(abs(ident.y1.y_at(t) - ident.y2.y_at(t)) for t in ident.trace_grid) == 0.0
+        assert max(abs(ident.y1.at(t)[0] - ident.y2.at(t)[0]) for t in ident.trace_grid) == 0.0
         assert np.min(ident.trace) >= 0.0
         p1 = RiccatiProblem(0.0, 0.0, -1.0, 0.0, 0.0)
         p2 = RiccatiProblem(0.0, 0.0, 0.0, 0.0, 0.0)
         lin = comparison_check(p1, p2, lambda t: t, 0.0, 0.0, 5.0)
         assert lin.ordering_ok
         for t in lin.trace_grid:
-            assert abs(lin.y1.y_at(t) - lin.y2.y_at(t) - t) <= 1e-8
+            assert abs(lin.y1.at(t)[0] - lin.y2.at(t)[0] - t) <= 1e-8
         assert np.min(lin.trace) >= 0.0
 
     _run(capsys, 8, "ordering harness: identity and linear fixtures", None, body)

@@ -95,6 +95,9 @@ class TestCheck:
         (lazer,) = [rep for rep in doc["theorem_reports"] if rep["theorem"] == "LAZER"]
         assert lazer["conditions"]["p_zero"]["holds"] is False
         assert lazer["overall"] == "DOES_NOT_APPLY"
+        # p_zero and (a) decide these hypotheses; the integral adds no warning on them
+        for text in lazer["warnings"] + doc["warnings"]:
+            assert "identically zero" not in text and "positive values" not in text
 
     def test_param_override(self, capsys):
         doc = run_json(

@@ -300,6 +300,14 @@ class TestDerivative:
         assert evaluate(d, 2.0) == 4.0
         assert evaluate(d, 0.5) == 1.0
 
+    def test_no_term_on_a_zero_derivative(self):
+        # floor(t), M and pi differentiate to nothing, not to a literal 0.0 factor
+        params = dict(EXAMPLE32.defaults)
+        source = _lambda_source(differentiate(parse(EXAMPLE32.p_src, tuple(params))), params)
+        assert "* 0.0" not in source, source
+        assert "0.0 *" not in source, source
+        assert _lambda_source(differentiate(parse("floor(t)^3 + M", ("M",))), {"M": 1.0}) == "lambda t: 0.0"
+
     def test_parameter_treated_as_constant(self):
         ast = parse("M*t^2", param_names=("M",))
         d = differentiate(ast)

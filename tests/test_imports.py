@@ -1,8 +1,11 @@
-"""Every top-level import in src/osc3 is used by the module that makes it.
+"""Every top-level import in src/osc3 is used by the module that makes it,
+and every module-level private name is read somewhere in src/osc3.
 
-A name counts as used when it is read anywhere else in the module (type
+An import counts as used when it is read anywhere else in the module (type
 annotations included) or listed in ``__all__``.  ``from __future__``
-imports and import statements carrying ``# noqa`` are exempt.
+imports and import statements carrying ``# noqa`` are exempt.  A private
+name (``_name``, not a dunder) defined at module level counts as read when
+some module in the package loads it as a name or an attribute.
 """
 
 import ast
@@ -45,3 +48,49 @@ def test_no_unused_imports(module):
 def test_checker_sees_an_unused_import():
     assert unused_imports("import math\nfrom typing import Sequence\nx: Sequence = 1\n") == ["line 1: math"]
     assert unused_imports("import math  # noqa\n") == []
+
+
+def _defined_private(tree) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _read_names(tree) -> set:
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def unread_private_names(sources: dict) -> list:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    return sorted(
+        f"{module}: {name}" for module, tree in trees.items() for name in _defined_private(tree) - read
+    )
+
+
+def test_no_unread_private_names():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as f:
+            sources[module] = f.read()
+    assert unread_private_names(sources) == []
+
+
+def test_checker_sees_an_unread_private_name():
+    sources = {
+        "a.py": "_used = 1\n_orphan = 2\ndef _helper():\n    return _used\n",
+        "b.py": "from a import _helper\n_helper()\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _orphan"]

@@ -14,14 +14,14 @@ from osc3.ode import (
     TYPE_3_2,
     ZERO_TOL,
     OdeControls,
-    SolutionTrajectory,
     StepStats,
+    Trajectory,
+    _linear_rhs,
     classify_lemma21,
     count_zeros,
     fundamental_basis,
     integrate_third_order,
     oscillation_report,
-    state_at,
     wronskian,
 )
 
@@ -33,8 +33,8 @@ class TestIntegrationAccuracy:
     def test_polynomial_solution_exact(self):
         traj = integrate_third_order(TRIPLE_ZERO, (1.0, 1.0, 0.0), 10.0)
         assert traj.status == COMPLETED
-        assert state_at(traj, 10.0)[0] == pytest.approx(10.0, abs=1e-10)
-        assert state_at(traj, 4.5)[0] == pytest.approx(4.5, abs=1e-10)
+        assert traj.at(10.0)[0] == pytest.approx(10.0, abs=1e-10)
+        assert traj.at(4.5)[0] == pytest.approx(4.5, abs=1e-10)
 
     def test_constant_coefficient_closed_form(self):
         # phi''' + phi = 0 from (1,0,0) at t0 = 1; roots -1 and 1/2 +- i sqrt3/2
@@ -47,18 +47,36 @@ class TestIntegrationAccuracy:
             )
 
         for t in (2.0, 3.3, 5.0):
-            assert state_at(traj, t)[0] == pytest.approx(exact(t), abs=1e-6)
+            assert traj.at(t)[0] == pytest.approx(exact(t), abs=1e-6)
 
     def test_pure_growth_mode(self):
         # phi''' = phi with the (1,1,1) eigen-direction gives e^(t-1)
         m = build_model("0", "0", "-1")
         traj = integrate_third_order(m, (1.0, 1.0, 1.0), 20.0)
-        assert state_at(traj, 5.0)[0] == pytest.approx(math.exp(4.0), rel=1e-6)
+        assert traj.at(5.0)[0] == pytest.approx(math.exp(4.0), rel=1e-6)
 
     def test_state_outside_span_rejected(self):
         traj = integrate_third_order(TRIPLE_ZERO, (1.0, 0.0, 0.0), 5.0)
         with pytest.raises(ValueError):
-            state_at(traj, 5.5)
+            traj.at(5.5)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("name, t_max", [("lazer", 60.0), ("example31", 12.0), ("example32", 6.0)])
+    def test_slopes_are_the_right_side_at_each_node(self, name, t_max):
+        fx = get_fixture(name)
+        model = fx.build_ode_model()
+        ctl = OdeControls(feature_windows=fx.feature_windows(t_max))
+        traj = integrate_third_order(model, (1.0, 0.0, 0.0), t_max, ctl)
+        assert traj.status == COMPLETED
+        if name == "example31":
+            assert traj.log_scale[-1] > 0.0  # the check covers a rescale
+        deriv = _linear_rhs(model)
+        for k in range(len(traj.t)):
+            expect = np.array(deriv(float(traj.t[k]), *traj.states[k].tolist()))
+            assert traj.slopes[k].tobytes() == expect.tobytes(), k
+        for k in range(len(traj.t) - 1):
+            assert np.array_equal(traj.at(traj.t[k]), traj.states[k]), k
 
 
 class TestZeroCounting:
@@ -138,12 +156,12 @@ class TestWronskian:
         # W(t) = exp(-int p) with p = -t^2: W(3) = e^{26/3}
         m = build_model("-t^2", "0", "1")
         basis = fundamental_basis(m, 5.0)
-        assert wronskian(basis, 3.0, m) == pytest.approx(math.exp(26.0 / 3.0), rel=1e-5)
+        assert wronskian(basis, 3.0) == pytest.approx(math.exp(26.0 / 3.0), rel=1e-5)
 
     def test_trace_free_equation_keeps_w_constant(self):
         basis = fundamental_basis(UNIT_R, 15.0)
         for t in (2.0, 7.5, 15.0):
-            assert wronskian(basis, t, UNIT_R) == pytest.approx(1.0, rel=1e-6)
+            assert wronskian(basis, t) == pytest.approx(1.0, rel=1e-6)
 
     def test_log_factors_combined_in_log_space(self):
         # scale sum alone overflows exp() but the tiny stored determinant
@@ -152,14 +170,13 @@ class TestWronskian:
 
         def synth(column, log):
             states = np.vstack([column, column])
-            return SolutionTrajectory(
+            return Trajectory(
                 t=np.array([1.0, 2.0]),
                 states=states,
-                initial=tuple(column),
-                t_target=2.0,
+                slopes=np.zeros_like(states),
+                log_scale=np.array([log, log]),
                 status=COMPLETED,
                 stats=stats,
-                log_scale=np.array([log, log]),
             )
 
         basis = [
@@ -186,13 +203,13 @@ class TestRenormalization:
         tr_p = integrate_third_order(model, (1.0, 0.0, 0.0), 12.0, ctl_plain)
         assert tr_r.status == COMPLETED
         assert tr_p.status == COMPLETED
-        assert tr_r.log_scale is not None and tr_r.log_scale[-1] > 100.0
+        assert tr_r.log_scale[-1] > 100.0
         z_r = [z.t for z in count_zeros(tr_r)]
         z_p = [z.t for z in count_zeros(tr_p)]
         assert len(z_r) == len(z_p)
         assert np.max(np.abs(np.asarray(z_r) - np.asarray(z_p))) < 1e-7
         # before the first rescale the stored samples are the true values
-        assert state_at(tr_r, 5.0)[0] == pytest.approx(state_at(tr_p, 5.0)[0], rel=1e-9)
+        assert tr_r.at(5.0)[0] == pytest.approx(tr_p.at(5.0)[0], rel=1e-9)
 
     def test_zero_count_stable_across_tolerance(self):
         fx = get_fixture("example31")

@@ -25,14 +25,14 @@ class TestSolveRiccati1:
         # y' = -y^2, y(1) = 1 has y = 1/t
         sol = solve_riccati1(RiccatiProblem(1.0, 0.0, 0.0, 1.0, 1.0), 10.0)
         assert sol.status == "completed"
-        assert sol.y_at(9.0) == pytest.approx(1.0 / 9.0, abs=1e-8)
+        assert sol.at(9.0)[0] == pytest.approx(1.0 / 9.0, abs=1e-8)
 
     def test_linear_case(self):
         # f = 0 reduces to y' = -2y + 3 from 0: y = 1.5 (1 - e^{-2t})
         sol = solve_riccati1(RiccatiProblem(0.0, 2.0, -3.0, 0.0, 0.0), 4.0)
         for t in np.linspace(0.0, 4.0, 21):
             t = float(t)
-            assert sol.y_at(t) == pytest.approx(1.5 * (1.0 - math.exp(-2.0 * t)), abs=1e-7)
+            assert sol.at(t)[0] == pytest.approx(1.5 * (1.0 - math.exp(-2.0 * t)), abs=1e-7)
 
     def test_finite_time_escape_detected(self):
         # y' = y^2 + 1 from 0 is tan(t), escaping at pi/2
@@ -46,7 +46,7 @@ class TestSolveRiccati1:
         sol = solve_riccati1(RiccatiProblem(1.5, pm, 0.0, 1.0, 1.0), 6.0)
         exact = lambda t: t / (1.0 + 0.75 * (t * t - 1.0))
         for t in (2.0, 4.0, 6.0):
-            assert sol.y_at(t) == pytest.approx(exact(t), rel=1e-7)
+            assert sol.at(t)[0] == pytest.approx(exact(t), rel=1e-7)
 
 
 class TestBernoulliClosed:
@@ -94,7 +94,7 @@ class TestBernoulliClosed:
                 sol = solve_riccati1(RiccatiProblem(1.5, pm, 0.0, 1.0, u1), 6.0)
                 for t in (2.0, 4.0, 6.0):
                     closed = bernoulli_closed(u1, 1.0, pm, t)
-                    assert abs(closed - sol.y_at(t)) <= 1e-6
+                    assert abs(closed - sol.at(t)[0]) <= 1e-6
                 checked += 1
         assert checked == 20
 
@@ -137,7 +137,7 @@ class TestComparisonCheck:
         assert rep.first_violation is None
         assert rep.hypothesis_ok
         assert rep.hypothesis_min == 0.0
-        diffs = [abs(rep.y1.y_at(t) - rep.y2.y_at(t)) for t in rep.trace_grid]
+        diffs = [abs(rep.y1.at(t)[0] - rep.y2.at(t)[0]) for t in rep.trace_grid]
         assert max(diffs) == 0.0
 
     def test_linear_fixture_exact_gap(self):
@@ -147,7 +147,7 @@ class TestComparisonCheck:
         rep = comparison_check(p1, p2, lambda t: t, 0.0, 0.0, 5.0)
         assert rep.ordering_ok
         for t in rep.trace_grid:
-            assert abs(rep.y1.y_at(t) - rep.y2.y_at(t) - t) <= 1e-8
+            assert abs(rep.y1.at(t)[0] - rep.y2.at(t)[0] - t) <= 1e-8
         assert np.min(rep.trace) >= 0.0
 
     def test_variant_changes_hypothesis_outcome(self):
