@@ -10,9 +10,11 @@ attached, since no finite computation can decide a limsup.
 For integer exponents the weighted averages expand binomially into
 cumulative moment integrals int tau^j g(tau) dtau, so a whole grid of S
 values costs one pass over [t0, t_end] instead of one quadrature per grid
-point.  Non-integer exponents fall back to an independent adaptive
-quadrature per point.  The tests hold both paths to an outside reference
-quadrature at every grid point.
+point.  Any other exponent goes to the Gauss-Kronrod panel engine of
+``quad.integrate_adaptive`` (``power=m``), which also serves the whole grid
+in one pass and handles the endpoint weight with Gauss-Jacobi rules.  The
+tests hold both paths to an outside reference quadrature at every grid
+point.
 """
 
 from __future__ import annotations
@@ -183,9 +185,8 @@ class CriterionTrajectory:
 def kamenev_transform(f: Callable[[float], float], T: float, alpha: float, t: float, *, tol: float = 1e-9) -> float:
     """Weighted average (alpha(alpha+1)/t^(alpha+1)) int_T^t (t-tau)^(alpha-1) f dtau.
 
-    For alpha < 1 the endpoint factor is singular at tau = t, so the
-    integral is computed after the substitution s = (t-tau)^alpha, which
-    flattens it to (1/alpha) int_0^{(t-T)^alpha} f(t - s^(1/alpha)) ds.
+    The one-point case of the weighted series: Gauss-Jacobi rules for the
+    weight (t-tau)^(alpha-1) take its endpoint singularity for alpha < 1.
     """
     if T <= 0.0:
         raise ValueError(f"T must be positive, got {T!r}")
@@ -193,17 +194,10 @@ def kamenev_transform(f: Callable[[float], float], T: float, alpha: float, t: fl
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     if t <= T:
         raise ValueError(f"t={t!r} must exceed T={T!r}")
-    if alpha >= 1.0:
-        res = integrate_adaptive(lambda tau: (t - tau) ** (alpha - 1.0) * f(tau), T, t, tol)
-        integral = res.value
-    else:
-        s_max = (t - T) ** alpha
-        inv = 1.0 / alpha
-        res = integrate_adaptive(lambda s: f(t - s ** inv), 0.0, s_max, tol)
-        integral = res.value / alpha
+    res = integrate_adaptive(f, T, [t], tol, power=alpha - 1.0)
     if res.warning:
         _warnings.warn(f"quadrature depth cap reached in kamenev_transform at t={t:.6g}", RuntimeWarning)
-    return alpha * (alpha + 1.0) / t ** (alpha + 1.0) * integral
+    return alpha * (alpha + 1.0) / t ** (alpha + 1.0) * float(res.value[0])
 
 
 def _as_base(model_or_split) -> CoefficientModel:
@@ -241,26 +235,12 @@ def _moment_series(g, a, pts, m_int, breakpoints):
     return out, warn
 
 
-def _direct_series(g, a, pts, m, breakpoints):
-    """Same integrals, one adaptive quadrature per grid point."""
-    out = np.zeros(len(pts))
-    warn = False
-    for k, t in enumerate(pts):
-        if t <= a:
-            continue
-        res = integrate_adaptive(
-            lambda tau, _t=t: (_t - tau) ** m * g(tau), a, float(t), TOL, breakpoints=breakpoints
-        )
-        out[k] = res.value
-        warn = warn or res.warning
-    return out, warn
-
-
 def _weighted_series(g, a, pts, m, breakpoints):
     m_int = int(round(m))
     if abs(m - m_int) < 1e-12 and m_int >= 0:
         return _moment_series(g, a, pts, m_int, breakpoints)
-    return _direct_series(g, a, pts, m, breakpoints)
+    res = integrate_adaptive(g, a, pts, TOL, breakpoints=breakpoints, power=m)
+    return res.value, res.warning
 
 
 def cumulative_D(
@@ -432,7 +412,7 @@ def check_33f(
     sups = []
     lo = t0
     for _ in range(decades):
-        hi = min(lo * 10.0, t0 * horizon)
+        hi = min(lo * 10.0, horizon)
         seg = sample_points(lo, span=hi - lo, n=256)
         sups.append(float(np.max([abs(split.p2_at(t)) for t in seg])))
         lo = hi

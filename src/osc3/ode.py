@@ -379,8 +379,9 @@ def count_zeros(traj: Trajectory) -> list:
             if not zeros or zeros[-1].t != a:
                 zeros.append(ZeroRecord(a, a, a))
             continue
-        # the factor to the scale of node k is >= 1, so it cannot decide the sign
-        if fa * fb >= 0.0:
+        # the factor to the scale of node k is >= 1, so it cannot decide the
+        # sign; signs are compared, not the product, which can underflow to 0
+        if fb == 0.0 or (fa < 0.0) == (fb < 0.0):
             continue
         ratio = math.exp(float(log_scale[k + 1]) - float(log_scale[k]))
         b, fb, da, db = ts[k + 1], fb * ratio, dphi[k], dphi[k + 1] * ratio
@@ -390,7 +391,7 @@ def count_zeros(traj: Trajectory) -> list:
                 break
             mid = 0.5 * (lo + hi)
             fm = _hermite(a, b, fa, da, fb, db, mid)
-            if flo * fm <= 0.0:
+            if fm == 0.0 or (flo < 0.0) != (fm < 0.0):
                 hi = mid
             else:
                 lo, flo = mid, fm

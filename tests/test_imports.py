@@ -1,5 +1,6 @@
 """Every top-level import in src/osc3 is used by the module that makes it,
-and every module-level private name is read somewhere in src/osc3.
+every module-level private name is read somewhere in src/osc3, and no module
+imports scipy, which only the tests use, as an outside reference.
 
 An import counts as used when it is read anywhere else in the module (type
 annotations included) or listed in ``__all__``.  ``from __future__``
@@ -94,3 +95,30 @@ def test_checker_sees_an_unread_private_name():
         "b.py": "from a import _helper\n_helper()\n",
     }
     assert unread_private_names(sources) == ["a.py: _orphan"]
+
+
+def scipy_imports(source: str) -> list:
+    """Lines of every import of scipy or a scipy submodule, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_scipy_import(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as f:
+        assert scipy_imports(f.read()) == []
+
+
+def test_checker_sees_a_scipy_import():
+    source = "import numpy\ndef f():\n    from scipy.special import roots_jacobi\nimport scipy.integrate as si\n"
+    assert scipy_imports(source) == ["line 3", "line 4"]
+    assert scipy_imports("from .scipy import x\nimport scipyx\n") == []

@@ -44,7 +44,8 @@ class TestKamenevTransform:
         )
 
     def test_constant_fractional_alpha(self):
-        # singular endpoint handled by substitution; exact value 1.5/2^1.5
+        # singular endpoint weight taken by the Gauss-Jacobi rule; exact
+        # value 1.5/2^1.5
         val = kamenev_transform(lambda t: 1.0, 1.0, 0.5, 2.0)
         assert val == pytest.approx(0.5303300858899106, abs=1e-9)
 
@@ -202,7 +203,7 @@ class TestCriterionTrajectories:
 
     def test_moment_path_matches_direct_quadrature(self):
         # integer exponents take the moment expansion, alpha = 1.5 the
-        # per-point quadrature; both against scipy's QUADPACK per grid point
+        # one-pass panel engine; both against scipy's QUADPACK per grid point
         integrate = pytest.importorskip("scipy.integrate")
         fx = get_fixture("example31")
         model = fx.build()
@@ -264,6 +265,17 @@ class TestCheck33f:
         assert not rep.holds
         assert not rep.integrable_ok
         assert rep.integral_tail > 9.0
+
+    def test_last_decade_reaches_the_horizon(self):
+        # from t0 = 0.5 the decades end at 5, 50, 500, 5000 and 1e4, so a
+        # p2 that only turns on past 6000 is seen in the last one
+        m = build_model("0", "0", "1", t0=0.5)
+        sp = make_split(m)
+        sp.p2_at = lambda t: 0.0 if t <= 6000.0 else -1.0
+        rep = check_33f(sp, 1e4)
+        assert len(rep.sup_by_decade) == 5
+        assert rep.sup_by_decade[-1] == 1.0
+        assert not rep.bounded_ok
 
     def test_bump_fixture_split_passes(self):
         fx = get_fixture("example32")

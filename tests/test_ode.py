@@ -98,6 +98,22 @@ class TestZeroCounting:
         traj = integrate_third_order(TRIPLE_ZERO, (2.0, 1.0, 0.0), 10.0)
         assert count_zeros(traj) == []
 
+    def test_sign_change_found_where_the_product_underflows(self):
+        # 1e-170 * -1e-170 underflows to -0.0, so signs must be compared
+        slope = -2e-170
+        states = np.array([[1e-170, slope, 0.0], [-1e-170, slope, 0.0]])
+        traj = Trajectory(
+            t=np.array([1.0, 2.0]),
+            states=states,
+            slopes=np.zeros_like(states),
+            log_scale=np.zeros(2),
+            status=COMPLETED,
+            stats=StepStats(),
+        )
+        zeros = count_zeros(traj)
+        assert len(zeros) == 1
+        assert zeros[0].t == pytest.approx(1.5, abs=ZERO_TOL)
+
     def test_count_grows_with_horizon(self):
         n_short = len(count_zeros(integrate_third_order(UNIT_R, (1.0, 0.0, 0.0), 40.0)))
         n_long = len(count_zeros(integrate_third_order(UNIT_R, (1.0, 0.0, 0.0), 100.0)))

@@ -1,4 +1,4 @@
-"""Adaptive quadrature and cumulative-table tests."""
+"""Adaptive quadrature, cumulative-table and weighted-series tests."""
 
 import math
 import sys
@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from osc3.expr import compile_fn, parse
-from osc3.quad import CumulativeTable, cumulative, integrate_adaptive
+from osc3.fixtures import get_fixture
+from osc3.kamenev import GeometricGrid
+from osc3.quad import DEFAULT_TOL, CumulativeTable, cumulative, gauss_jacobi, integrate_adaptive
 
 BUMP_SRC = (
     "if(t - floor(t) <= floor(t)^(-5), "
@@ -160,3 +162,101 @@ class TestCumulative:
         masses = [3.0 * n / 8.0 for n in (9, 10, 11, 12)]
         assert table.values[1] == pytest.approx(sum(masses[:2]), rel=1e-6)
         assert table.values[3] == pytest.approx(sum(masses), rel=1e-6)
+
+
+class TestWeightedSeries:
+    """integrate_adaptive(power=m): int_a^{t_k} (t_k - tau)^m f dtau for a
+    whole grid of right ends in one pass."""
+
+    @pytest.mark.parametrize("m", [-0.5, 0.5, 1.5, 2.5])
+    def test_gauss_jacobi_matches_scipy(self, m):
+        special = pytest.importorskip("scipy.special")
+        for n in (7, 15):
+            nodes, weights = gauss_jacobi(n, m)
+            ref_nodes, ref_weights = special.roots_jacobi(n, m, 0.0)
+            assert np.allclose(nodes, ref_nodes, rtol=0.0, atol=1e-14)
+            assert np.allclose(weights, ref_weights, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.7])
+    def test_example31_series_match_scipy(self, alpha):
+        integrate = pytest.importorskip("scipy.integrate")
+        fx = get_fixture("example31")
+        model = fx.build()
+        pts = GeometricGrid(1.0, 1.15, 40).points()
+        series = (
+            (fx.d_fn(), alpha + 1.0),
+            (fx.d_fn(), alpha),
+            (lambda tau: min(model.p_at(tau), 0.0) ** 2, alpha),
+            (lambda tau: min(model.p_at(tau), 0.0), alpha),
+        )
+        for g, m in series:
+            res = integrate_adaptive(g, model.t0, pts, DEFAULT_TOL, power=m)
+            assert not res.warning
+            for t, got in zip(pts, res.value):
+                ref, _ = integrate.quad(lambda tau: (t - tau) ** m * g(tau), model.t0, t,
+                                        epsabs=0.0, epsrel=1e-13, limit=200)
+                assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), (m, t)
+
+    def test_constant_and_linear_exact(self):
+        # int_1^t (t - tau)^m dtau = (t-1)^(m+1)/(m+1); with f = tau add
+        # (t-1)^(m+2)/((m+1)(m+2)) to the constant part
+        pts = [1.0, 1.5, 3.0, 7.25]
+        for m in (-0.5, 0.0, 1.5):
+            res = integrate_adaptive(lambda tau: tau, 1.0, pts, 1e-12, power=m)
+            d = np.array(pts) - 1.0
+            expect = d ** (m + 1.0) / (m + 1.0) + d ** (m + 2.0) / ((m + 1.0) * (m + 2.0))
+            assert np.allclose(res.value, expect, rtol=1e-13, atol=0.0)
+
+    def test_evals_equal_integrand_calls(self):
+        fx = get_fixture("example31")
+        counted = _Counted(fx.d_fn())
+        res = integrate_adaptive(counted, 1.0, GeometricGrid(1.0, 1.15, 40).points(), DEFAULT_TOL,
+                                 power=1.5)
+        assert res.evals == counted.calls > 0
+        # bisected panels and breakpoints included
+        f = compile_fn(parse(BUMP_SRC))
+        counted = _Counted(lambda t: min(f(t), 0.0) ** 2)
+        edges = [9.0, 9.0 + 9.0**-5, 10.0, 10.0 + 10.0**-5]
+        res = integrate_adaptive(counted, 8.5, [9.7, 10.5], 1e-10, breakpoints=edges, power=0.5)
+        assert res.evals == counted.calls > 0
+
+    def test_one_pass_costs_about_one_cumulative_table(self):
+        fx = get_fixture("example31")
+        pts = GeometricGrid(1.0, 1.15, 40).points()
+        table_fn = _Counted(fx.d_fn())
+        cumulative(table_fn, 1.0, pts, DEFAULT_TOL)
+        series_fn = _Counted(fx.d_fn())
+        integrate_adaptive(series_fn, 1.0, pts, DEFAULT_TOL, power=1.5)
+        assert series_fn.calls <= 2 * table_fn.calls
+
+    def test_roundoff_limited_bump_sets_warning(self):
+        # example32's bump at n = 30 is known only to ulp(30) in t - floor(t),
+        # amplified by 30^5 pi: refinement stops on rounding noise, flagged
+        fx = get_fixture("example32")
+        model = fx.build()
+        edges = [x for x in fx.breakpoints(31.0) if 29.5 <= x <= 30.5]
+        res = integrate_adaptive(lambda tau: min(model.p_at(tau), 0.0) ** 2, 29.5, [30.5],
+                                 DEFAULT_TOL, breakpoints=edges, power=1.5)
+        assert res.warning
+        # 3 M^2 n / 8 with M = 13, weighted by about 0.5^1.5
+        assert res.value[0] == pytest.approx(3.0 * 169.0 * 30.0 / 8.0 * 0.5**1.5, rel=1e-6)
+
+    def test_depth_cap_sets_warning(self):
+        # int_0^1 (1 - tau)^0.5 tau^-0.5 dtau = B(1/2, 3/2) = pi / 2; the
+        # singular left edge keeps failing to the depth cap
+        spike = _Counted(lambda t: 0.0 if t <= 0.0 else t**-0.5)
+        res = integrate_adaptive(spike, 0.0, [1.0], 1e-14, power=0.5)
+        assert res.warning
+        assert res.evals == spike.calls
+        assert res.value[0] == pytest.approx(math.pi / 2.0, rel=1e-6)
+
+    def test_right_ends_at_a_give_zero(self):
+        res = integrate_adaptive(lambda tau: 1.0, 2.0, [2.0, 2.0, 3.0], power=0.5)
+        assert res.value[:2].tolist() == [0.0, 0.0]
+        assert res.value[2] == pytest.approx(2.0 / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("a, ends, m", [(1.0, [2.0, 1.5], 0.5), (1.0, [0.5, 2.0], 0.5),
+                                            (1.0, [2.0], -1.0)])
+    def test_invalid_input_rejected(self, a, ends, m):
+        with pytest.raises(ValueError):
+            integrate_adaptive(lambda tau: 1.0, a, ends, power=m)
