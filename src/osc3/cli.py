@@ -165,9 +165,10 @@ def _theorem_reports(fixture: Fixture, model, theorems, grid, policy) -> list:
 def cmd_check(args) -> int:
     fixture = _fixture(args, _parse_params(args.param))
     theorems = _parse_theorems(args.theorem, fixture.theorems)
+    model = fixture.build()
     grid = fixture.grid()
     policy = _policy(args)
-    reports = _theorem_reports(fixture, fixture.build(), theorems, grid, policy)
+    reports = _theorem_reports(fixture, model, theorems, grid, policy)
     if args.csv:
         _write_trajectory_csv(args.csv, reports)
     payload = {

@@ -107,6 +107,8 @@ def build_model(
     [t0, t0 + 1e4]; a non-finite parameter, a domain error or a non-finite
     value is a ModelError.
     """
+    if not math.isfinite(t0):
+        raise ModelError(f"t0={t0} is not finite")
     params = dict(params or {})
     for name, value in params.items():
         if not math.isfinite(value):

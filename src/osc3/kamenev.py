@@ -7,14 +7,12 @@ liminf statement about S is then replaced by a documented finite-horizon
 classification (DIVERGES / BOUNDED / INCONCLUSIVE) with its evidence
 attached, since no finite computation can decide a limsup.
 
-For integer exponents the weighted averages expand binomially into
-cumulative moment integrals int tau^j g(tau) dtau, so a whole grid of S
-values costs one pass over [t0, t_end] instead of one quadrature per grid
-point.  Any other exponent goes to the Gauss-Kronrod panel engine of
-``quad.integrate_adaptive`` (``power=m``), which also serves the whole grid
-in one pass and handles the endpoint weight with Gauss-Jacobi rules.  The
-tests hold both paths to an outside reference quadrature at every grid
-point.
+Every series, running integral (m = 0) or weighted average (integer or
+not), is int_{t0}^{t_k} (t_k - tau)^m g(tau) dtau at every grid point t_k,
+and each costs one call of the Gauss-Kronrod panel engine,
+``quad.integrate_adaptive(..., power=m)``: one pass over [t0, t_end]
+instead of one quadrature per grid point.  The tests hold it to an outside
+reference quadrature at every grid point.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .coeffs import (
     p_minus,
     sample_points,
 )
-from .quad import cumulative, integrate_adaptive
+from .quad import integrate_adaptive
 
 THM31B = "THM31B"
 THM32C = "THM32C"
@@ -65,12 +63,19 @@ class GeometricGrid:
     count: int = 120
 
     def __post_init__(self):
-        if self.t_start <= 0.0:
-            raise ValueError(f"t_start must be positive, got {self.t_start!r}")
-        if self.ratio <= 1.0:
-            raise ValueError(f"ratio must exceed 1, got {self.ratio!r}")
+        if not 0.0 < self.t_start < math.inf:
+            raise ValueError(f"t_start must be positive and finite, got {self.t_start!r}")
+        if not 1.0 < self.ratio < math.inf:
+            raise ValueError(f"ratio must be finite and exceed 1, got {self.ratio!r}")
         if self.count < 16:
             raise ValueError(f"count must be at least 16, got {self.count!r}")
+        try:
+            end_ok = math.isfinite(self.t_end)
+        except OverflowError:
+            end_ok = False
+        if not end_ok:
+            raise ValueError(f"grid end t_start * ratio^(count - 1) overflows for ratio={self.ratio!r}, "
+                             f"count={self.count!r}")
 
     def points(self) -> np.ndarray:
         return self.t_start * self.ratio ** np.arange(self.count)
@@ -96,6 +101,12 @@ class LimsupPolicy:
     window_fraction: float = field(init=False, default=0.25)
     bounded_rel: float = field(init=False, default=0.05)
     theta_ref_index: int = field(init=False, default=4)
+
+    def __post_init__(self):
+        for name in ("theta_scale", "growth_rho"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -190,8 +201,8 @@ def kamenev_transform(f: Callable[[float], float], T: float, alpha: float, t: fl
     """
     if T <= 0.0:
         raise ValueError(f"T must be positive, got {T!r}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if t <= T:
         raise ValueError(f"t={t!r} must exceed T={T!r}")
     res = integrate_adaptive(f, T, [t], tol, power=alpha - 1.0)
@@ -212,33 +223,9 @@ def _d_fn_for(model: CoefficientModel, d_fn) -> Callable[[float], float]:
     return lambda t: d_closed(model, t)
 
 
-def _cumulative_at(f, a, pts, breakpoints):
-    """Values of int_a^{t_k} f for every grid point, plus the warning flag."""
-    tab = cumulative(f, a, list(pts), TOL, breakpoints=breakpoints)
-    return np.asarray(tab.values[-len(pts):], dtype=float), tab.warning
-
-
-def _moment_series(g, a, pts, m_int, breakpoints):
-    """int_a^{t_k} (t_k - tau)^m g(tau) dtau via the binomial moment expansion."""
-    warn = False
-    moments = []
-    for j in range(m_int + 1):
-        def fj(tau, _j=j):
-            return tau ** _j * g(tau)
-
-        vals, w = _cumulative_at(fj, a, pts, breakpoints)
-        warn = warn or w
-        moments.append(vals)
-    out = np.zeros(len(pts))
-    for j in range(m_int + 1):
-        out += math.comb(m_int, j) * (-1.0) ** j * pts ** (m_int - j) * moments[j]
-    return out, warn
-
-
 def _weighted_series(g, a, pts, m, breakpoints):
-    m_int = int(round(m))
-    if abs(m - m_int) < 1e-12 and m_int >= 0:
-        return _moment_series(g, a, pts, m_int, breakpoints)
+    """int_a^{t_k} (t_k - tau)^m g(tau) dtau for every grid point, plus the
+    warning flag."""
     res = integrate_adaptive(g, a, pts, TOL, breakpoints=breakpoints, power=m)
     return res.value, res.warning
 
@@ -263,7 +250,7 @@ def cumulative_D(
     if pts[0] < model.t0:
         raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
     d = _d_fn_for(model, d_fn)
-    vals, warn = _cumulative_at(d, model.t0, pts, breakpoints)
+    vals, warn = _weighted_series(d, model.t0, pts, 0, breakpoints)
     warnings = ["quadrature depth cap reached"] if warn else []
     if criterion_id == THM32C:
         verdict = classify_limsup(vals, policy)
@@ -293,11 +280,11 @@ def criterion_kamenev(
     """
     model = _as_base(model_or_split)
     if mode in (THM31B, THM32D):
-        if alpha <= 0.0:
-            raise ValueError(f"{mode} needs alpha > 0, got {alpha!r}")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"{mode} needs a finite alpha > 0, got {alpha!r}")
     elif mode == THM33G:
-        if alpha <= 1.0:
-            raise ValueError(f"{THM33G} needs alpha > 1, got {alpha!r}")
+        if not 1.0 < alpha < math.inf:
+            raise ValueError(f"{THM33G} needs a finite alpha > 1, got {alpha!r}")
     else:
         raise ValueError(f"unknown mode {mode!r}")
     pts = grid.points()
@@ -362,7 +349,7 @@ def criterion_lazer(
     if pts[0] < model.t0:
         raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
     warnings = []
-    vals, warn = _cumulative_at(lazer_integrand(model), model.t0, pts, breakpoints)
+    vals, warn = _weighted_series(lazer_integrand(model), model.t0, pts, 0, breakpoints)
     if warn:
         warnings.append("quadrature depth cap reached")
     verdict = classify_limsup(vals, policy)
@@ -404,7 +391,7 @@ def check_33f(
     def abs_p1(t: float) -> float:
         return abs(split.p1_at(t))
 
-    vals, warn = _cumulative_at(abs_p1, model.t0, pts, breakpoints)
+    vals, warn = _weighted_series(abs_p1, model.t0, pts, 0, breakpoints)
     verdict = classify_limsup(vals, policy)
     integrable_ok = verdict.kind == BOUNDED
 

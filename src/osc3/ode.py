@@ -64,6 +64,10 @@ class OdeControls:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def as_dict(self) -> dict:
         return {
@@ -325,8 +329,8 @@ def integrate_third_order(
     controls: OdeControls | None = None,
 ) -> Trajectory:
     """Integrate one solution from state (phi, phi', phi'') at model.t0."""
-    if not t_max > model.t0:
-        raise ValueError(f"t_max={t_max} must exceed t0={model.t0}")
+    if not model.t0 < t_max < math.inf:
+        raise ValueError(f"t_max={t_max} must be finite and exceed t0={model.t0}")
     controls = controls or OdeControls()
     traj = _dopri(
         _linear_rhs(model),

@@ -1,42 +1,38 @@
-"""Adaptive quadrature: Simpson for single integrals and cumulative tables,
-Gauss-Kronrod panels for weighted series along a grid.
+"""Adaptive quadrature on Gauss-Kronrod panels: one engine for single
+integrals, cumulative tables and weighted series along a grid.
 
-The integrator is the classic adaptive Simpson scheme with Richardson
-extrapolation: a panel is accepted when the two-half refinement agrees with
-the single-panel estimate to 15x the local tolerance.  Tolerances mix an
-absolute share (distributed by panel width) with a relative term, so both
-tiny and astronomically large integrals come out with ~9 correct digits.
+The engine computes int_a^{t_k} (t_k - tau)^m f(tau) dtau for every point
+t_k of a nondecreasing grid in one pass over panels whose edges are ``a``,
+the grid points and the caller's breakpoints.  A panel feeds every t_k to
+its right and is evaluated once with Gauss-Kronrod 7/15 (QUADPACK's qk15,
+Piessens et al. 1983), the weights (t_k - tau)^m applied with numpy.  On
+the panel that ends at t_k the weight is not smooth unless m is a
+nonnegative integer, so for any other m that panel gets Gauss-Jacobi rules
+of orders 7 and 15 for the weight instead, built only when first needed.
+A single integral is the one-point series at m = 0, and a cumulative table
+the series at m = 0 along its grid.
 
-The refinement runs as one loop over an explicit task stack, not as a
-recursion, so its cost does not depend on how deep the caller's stack is.
-The left half is refined before the right and the two halves' results are
-added once, when both are done, which is the order a depth-first recursion
-would give.  ``MAX_DEPTH`` caps how many times a panel between breakpoints
-may be halved; a panel that hits it unconverged sets the result's
-``warning`` flag.
+Tolerances mix an absolute share, distributed by panel width, with a
+relative term, so both tiny and astronomically large integrals come out
+with ~9 correct digits.  A panel that misses the tolerance for any t_k it
+feeds is bisected.  Refinement runs as one loop over an explicit task
+stack, so its cost does not depend on how deep the caller's stack is.  It
+stops at ``MAX_DEPTH`` halvings of a panel between edges, or when a
+panel's halves show that rounding, not the rule, limits it; either way the
+result's ``warning`` flag is set.
 
 Narrow features (the bump-train coefficients used in the worked fixtures
 concentrate all their mass in intervals of width n^-5) are invisible to any
-sampling scheme unless the caller says where they are, so both entry points
-take an optional ``breakpoints`` sequence and split panels there.  Interior
-panel midpoints then live at dyadic offsets of those edges, which keeps
-sample points off the integer lattice where piecewise definitions switch.
-
-Weighted series, int_a^{t_k} (t_k - tau)^m f(tau) dtau at every point t_k
-of a grid, take a second path through the same entry point (``power=m``):
-one pass over panels whose edges are ``a``, the grid points and the
-breakpoints.  Each panel is evaluated once with Gauss-Kronrod 7/15 for
-every t_k to its right, the weights (t_k - tau)^m applied with numpy; the
-panel that ends at t_k, where the weight is not smooth unless m is an
-integer, gets Gauss-Jacobi rules of orders 7 and 15 for that weight
-instead.  A panel that misses the tolerance for any t_k it feeds is
-bisected, until the depth cap or until its halves show that rounding, not
-the rule, limits it.
+sampling scheme unless the caller says where they are, so the engine takes
+an optional ``breakpoints`` sequence and splits panels there.  The Kronrod
+nodes lie inside each panel, so samples stay off the edges, where
+piecewise definitions switch.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -44,10 +40,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 MAX_DEPTH = 60
-# Panels are bisected this many times before the Richardson error estimate
-# may be believed.  A single Simpson estimate over several periods of an
-# oscillatory integrand can agree with its own refinement by accident; a
-# few forced splits make that coincidence vanishingly unlikely.
+# The roundoff test below is believed only on a panel already bisected this
+# many times: on a wide panel a good Kronrod value beside a poor Gauss one
+# can pass it by accident.
 MIN_DEPTH = 3
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK's qk15): the 15 Kronrod nodes in
@@ -66,18 +61,18 @@ _XK = np.array([-x for x in _XK_HALF] + [0.0] + list(reversed(_XK_HALF)))
 _WK = np.array(list(_WK_HALF) + [0.209482141084727828012999174891714] + list(reversed(_WK_HALF)))
 _WG = np.array(list(_WG_HALF) + [0.417959183673469387755102040816327] + list(reversed(_WG_HALF)))
 # A bisected panel is limited by rounding when its halves reproduce its
-# value to this relative accuracy without a smaller error estimate
-# (QUADPACK's test, Piessens et al. 1983).  Like the Simpson estimate, the
-# test is believed only on a panel already bisected MIN_DEPTH times: on a
-# wide panel a good Kronrod value beside a poor Gauss one can pass it.
+# value to this relative accuracy and either their error estimate is no
+# smaller or the panel is too narrow to split in double precision
+# (QUADPACK's tests in dqagse, Piessens et al. 1983).
 ROUNDOFF_REL = 1e-5
+_NARROW = 1.0 + 100.0 * math.ulp(1.0)
 
 
 @dataclass
 class QuadResult:
-    value: float | np.ndarray  # one value per right end for a weighted series
+    value: float | np.ndarray  # a float for one interval, an array for a series
     warning: bool  # True when some panel stopped refining unconverged
-    evals: int  # integrand calls (Simpson: 3 per panel plus 2 per refined node)
+    evals: int  # integrand calls: 15 per Kronrod panel, 22 per Gauss-Jacobi one
 
 
 def _panel_edges(a: float, b: float, breakpoints: Iterable[float] | None):
@@ -103,60 +98,13 @@ def integrate_adaptive(
 
     With ``power`` m > -1, ``b`` is a nondecreasing sequence of right ends
     t_k >= a and the value is the array of int_a^{t_k} (t_k - tau)^m f(tau)
-    dtau, all from one pass of the Gauss-Kronrod panel engine.
+    dtau, all from one pass of the panel engine.  Without it the value is
+    the engine's one-point series at m = 0.
     """
     if power is not None:
         return _weighted_series(f, a, b, power, tol, breakpoints)
-    if b < a:
-        raise ValueError("integrate_adaptive requires a <= b")
-    if a == b:
-        return QuadResult(0.0, False, 0)
-    edges = _panel_edges(a, b, breakpoints)
-    total = b - a
-    value = 0.0
-    evals = 0
-    warning = False
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        fa = f(lo)
-        m = 0.5 * (lo + hi)
-        fm = f(m)
-        fb = f(hi)
-        evals += 3
-        whole = (hi - lo) * (fa + 4.0 * fm + fb) / 6.0  # Simpson's rule
-        # a task is a node to refine, or None: add the last two results
-        tasks = [(lo, m, hi, fa, fm, fb, whole, (hi - lo) / total, 0)]
-        push, pop = tasks.append, tasks.pop
-        done = []
-        while tasks:
-            task = pop()
-            if task is None:
-                last = done.pop()
-                done[-1] = done[-1] + last
-                continue
-            x0, xm, x1, f0, fxm, f1, whole, frac, depth = task
-            lm = 0.5 * (x0 + xm)
-            rm = 0.5 * (xm + x1)
-            flm = f(lm)
-            frm = f(rm)
-            evals += 2
-            left = (xm - x0) * (f0 + 4.0 * flm + fxm) / 6.0
-            right = (x1 - xm) * (fxm + 4.0 * frm + f1) / 6.0
-            s2 = left + right
-            err = s2 - whole
-            # 15x the local tolerance: an absolute share proportional to
-            # panel width, plus relative slack
-            allow = 15.0 * (tol * frac + tol * abs(s2))
-            if abs(err) <= allow and depth >= MIN_DEPTH or depth >= MAX_DEPTH:
-                if depth >= MAX_DEPTH and abs(err) > allow:
-                    warning = True
-                done.append(s2 + err / 15.0)
-            else:
-                half = 0.5 * frac
-                push(None)
-                push((xm, rm, x1, fxm, frm, f1, right, half, depth + 1))
-                push((x0, lm, xm, f0, flm, fxm, left, half, depth + 1))
-        value += done[0]
-    return QuadResult(value, warning, evals)
+    res = _weighted_series(f, a, [b], 0.0, tol, breakpoints)
+    return QuadResult(float(res.value[0]), res.warning, res.evals)
 
 
 @functools.lru_cache(maxsize=64)
@@ -181,21 +129,24 @@ def _weighted_series(f, a, ends, m, tol, breakpoints) -> QuadResult:
     """int_a^{t_k} (t_k - tau)^m f(tau) dtau for every t_k in ``ends``.
 
     A panel [lo, hi] feeds every t_k >= hi.  Its value and error estimate
-    for t_k > hi come from Gauss-Kronrod 7/15; for t_k == hi from
-    Gauss-Jacobi 15 and 7 with the weight (hi - tau)^m, which the last
-    sub-panel below a grid point keeps as it is bisected.  The panel passes
-    when every estimate meets 15 tol (width / (t_k - a) + |value|), the
-    tolerance split of the Simpson path.
+    come from Gauss-Kronrod 7/15, except for t_k == hi when m is not a
+    nonnegative integer: there they come from Gauss-Jacobi 15 and 7 with
+    the weight (hi - tau)^m, which the last sub-panel below a grid point
+    keeps as it is bisected.  The panel passes when every estimate meets
+    15 tol (width / (t_k - a) + |value|).
     """
-    if m <= -1.0:
-        raise ValueError(f"power must exceed -1, got {m!r}")
+    if not -1.0 < m < math.inf:
+        raise ValueError(f"power must be finite and exceed -1, got {m!r}")
     t = np.asarray(ends, dtype=float)
+    if not (math.isfinite(a) and np.isfinite(t).all()):
+        raise ValueError("quadrature needs a finite start and finite right ends")
     if np.any(t[1:] < t[:-1]) or (len(t) and t[0] < a):
-        raise ValueError("a weighted series needs nondecreasing right ends >= a")
+        raise ValueError("quadrature needs nondecreasing right ends >= a")
     out = np.zeros(len(t))
     if not len(t) or t[-1] == a:
         return QuadResult(out, False, 0)
-    jacobi = (gauss_jacobi(7, m), gauss_jacobi(15, m))
+    # a polynomial weight needs no rule of its own at the right end
+    jacobi = not float(m).is_integer()
     evals = 0
     warning = False
 
@@ -207,30 +158,36 @@ def _weighted_series(f, a, ends, m, tol, breakpoints) -> QuadResult:
         mid = lo + hw
         vals = np.empty(len(fed))
         errs = np.empty(len(fed))
-        if n_end:
-            (x7, w7), (x15, w15) = jacobi
+        k = n_end if jacobi else 0
+        if k:
+            (x7, w7), (x15, w15) = gauss_jacobi(7, m), gauss_jacobi(15, m)
             g7 = [f(x) for x in (mid + hw * x7).tolist()]
             g15 = [f(x) for x in (mid + hw * x15).tolist()]
             evals += 22
             scale = hw ** (m + 1.0)
             v15 = scale * float(w15 @ g15)
-            vals[:n_end] = v15
-            errs[:n_end] = abs(v15 - scale * float(w7 @ g7))
-        if n_end < len(fed):
+            vals[:k] = v15
+            errs[:k] = abs(v15 - scale * float(w7 @ g7))
+        if k < len(fed):
             nodes = mid + hw * _XK
             gv = np.array([f(x) for x in nodes.tolist()])
             evals += 15
-            w = (fed[n_end:, None] - nodes) ** m
-            kron = hw * (w @ (_WK * gv))
-            vals[n_end:] = kron
-            errs[n_end:] = np.abs(kron - hw * (w[:, 1::2] @ (_WG * gv[1::2])))
+            if m:
+                w = (fed[k:, None] - nodes) ** m
+                kron = hw * (w @ (_WK * gv))
+                gauss = hw * (w[:, 1::2] @ (_WG * gv[1::2]))
+            else:  # the weight is 1: one value serves every end
+                kron = hw * float(_WK @ gv)
+                gauss = hw * float(_WG @ gv[1::2])
+            vals[k:] = kron
+            errs[k:] = np.abs(kron - gauss)
         return vals, errs
 
     edges = _panel_edges(a, float(t[-1]), [*(breakpoints or ()), *t.tolist()])
     for lo0, hi0 in zip(edges[:-1], edges[1:]):
-        j0 = int(np.searchsorted(t, hi0, "left"))
+        j0 = int(t.searchsorted(hi0, "left"))
         fed = t[j0:]
-        n_end = int(np.searchsorted(t, hi0, "right")) - j0
+        n_end = int(t.searchsorted(hi0, "right")) - j0
         span = fed - a
         tasks = [(lo0, hi0, n_end, 0, *panel(lo0, hi0, fed, n_end))]
         while tasks:
@@ -249,8 +206,11 @@ def _weighted_series(f, a, ends, m, tol, breakpoints) -> QuadResult:
             halves = left[0] + right[0]
             if (
                 depth >= MIN_DEPTH
-                and np.all(np.abs(halves - vals)[bad] <= ROUNDOFF_REL * np.abs(halves[bad]))
-                and np.all((left[1] + right[1])[bad] >= errs[bad])
+                and (np.abs(halves - vals)[bad] <= ROUNDOFF_REL * np.abs(halves[bad])).all()
+                and (
+                    ((left[1] + right[1])[bad] >= errs[bad]).all()
+                    or max(abs(lo), abs(hi)) <= _NARROW * abs(mid)
+                )
             ):
                 warning = True
                 out[j0:] += halves
@@ -283,11 +243,8 @@ def cumulative(
     *,
     breakpoints: Sequence[float] | None = None,
 ) -> CumulativeTable:
-    """Cumulative integral over a nondecreasing grid, one panel per gap.
-
-    Cost is linear in the grid: each inter-point panel is integrated once and
-    summed, rather than restarting from ``a`` for every grid point.
-    """
+    """Cumulative integral over a nondecreasing grid: the engine's series at
+    m = 0, so each panel is integrated once for the whole table."""
     pts = [float(x) for x in grid]
     if any(y < x for x, y in zip(pts, pts[1:])):
         raise ValueError("cumulative requires a nondecreasing grid")
@@ -295,12 +252,5 @@ def cumulative(
         raise ValueError("cumulative requires grid[0] >= a")
     if pts[0] > a:
         pts = [a] + pts
-    values = [0.0]
-    warning = False
-    running = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        res = integrate_adaptive(f, lo, hi, tol, breakpoints=breakpoints)
-        warning = warning or res.warning
-        running += res.value
-        values.append(running)
-    return CumulativeTable(np.asarray(pts), np.asarray(values), a, tol, warning)
+    res = integrate_adaptive(f, a, pts, tol, breakpoints=breakpoints, power=0)
+    return CumulativeTable(np.asarray(pts), res.value, a, tol, res.warning)

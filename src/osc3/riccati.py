@@ -69,8 +69,8 @@ def solve_riccati1(
     BLOW_UP, so ``t_end`` is the escape time; step underflow while chasing a
     vertical asymptote is folded into the same blow-up status.
     """
-    if t_max <= prob.t_start:
-        raise ValueError(f"t_max={t_max!r} must exceed t_start={prob.t_start!r}")
+    if not prob.t_start < t_max < math.inf:
+        raise ValueError(f"t_max={t_max!r} must be finite and exceed t_start={prob.t_start!r}")
     controls = controls or OdeControls(rel_tol=1e-10, abs_tol=1e-12, blow_up=1e12)
     f_at, g_at, h_at = prob.f_at, prob.g_at, prob.h_at
 

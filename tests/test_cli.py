@@ -273,6 +273,32 @@ class TestErrorPaths:
         assert not err.startswith('error: "')  # a KeyError prints its message, not its repr
         assert "np.float64" not in err and "Traceback" not in err
 
+    # each once hung, ended in an OverflowError traceback, ran on with a NaN
+    # threshold, or failed only on a NaN in some later arithmetic
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["check", "--fixture", "lazer", "--grid-ratio", "nan"], "ratio"),
+            (["check", "--fixture", "lazer", "--grid-ratio", "inf"], "ratio"),
+            (["check", "--p", "0", "--q", "0", "--r", "1", "--t0", "nan"], "t0"),
+            (["verify", "--fixture", "lazer", "--tmax", "inf"], "t_max"),
+            (["check", "--fixture", "lazer", "--grid-ratio", "1e300"], "ratio"),
+            (["check", "--fixture", "lazer", "--grid-count", "100000000"], "count"),
+            (["check", "--fixture", "lazer", "--alpha", "inf"], "alpha"),
+            (["check", "--fixture", "lazer", "--theta-scale", "nan"], "theta_scale"),
+            (["check", "--fixture", "lazer", "--growth-rho", "nan"], "growth_rho"),
+            (["verify", "--fixture", "lazer", "--abs-tol", "inf"], "abs_tol"),
+            (["check", "--fixture", "lazer", "--alpha", "nan"], "alpha"),
+            (["riccati", "--t-end", "inf"], "t_max"),
+            (["riccati", "--t-end", "nan"], "t_max"),
+        ],
+    )
+    def test_non_finite_inputs_return_2(self, argv, name, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert "Traceback" not in err
+
     def test_missing_sources(self, capsys):
         # no fixture and no p/q/r
         assert main(["check"]) == 2

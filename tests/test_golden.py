@@ -8,7 +8,13 @@ the suite.
 
 Regenerate the goldens (only after a deliberate output change) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+which rewrites the named cases, or all of them when none is named.  Before
+that, list every field that would move beyond RTOL (old value, new value,
+relative change), rewriting nothing, with
+
+    PYTHONPATH=src python tests/test_golden.py --report [CASE ...]
 """
 
 import csv
@@ -39,8 +45,9 @@ CASES = {
         ["check_example32.json", "check_example32.csv"],
     ),
     # the bump-check command at M = 13: its grid reaches the n >= 17 bumps,
-    # where the refinement chases rounding noise, so a change in the order
-    # of the quadrature's additions shows here
+    # where rounding noise, not the rule, ends the panel refinement (the
+    # roundoff stop), so a change in the quadrature's stopping tests or in
+    # the order of its additions shows here
     "check_example32_thm31": (
         ["check", "--fixture", "example32", "--theorem", "thm31", "--grid-count", "23",
          "--csv", "check_example32_thm31.csv", "--out", "check_example32_thm31.json"],
@@ -93,24 +100,31 @@ def _load(path):
         return [[_cell(c) for c in row] for row in csv.reader(f)]
 
 
-def _mismatches(got, want, where="$"):
+def _diffs(got, want, where="$"):
+    """``(where, got, want)`` for every field where ``got`` differs from
+    ``want``: strings, ints and bools exactly, floats beyond RTOL relative."""
     if isinstance(want, float) and isinstance(got, float):
         if got == want or (math.isnan(got) and math.isnan(want)):
             return []
         if abs(got - want) <= RTOL * max(abs(got), abs(want)):
             return []
-        return [f"{where}: {got!r} != {want!r}"]
+        return [(where, got, want)]
     if type(got) is not type(want):
-        return [f"{where}: {type(got).__name__} {got!r} != {type(want).__name__} {want!r}"]
+        return [(where, got, want)]
     if isinstance(want, dict):
         if set(got) != set(want):
-            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
-        return [m for k in sorted(want) for m in _mismatches(got[k], want[k], f"{where}.{k}")]
+            return [(f"{where} keys", sorted(got), sorted(want))]
+        return [d for k in sorted(want) for d in _diffs(got[k], want[k], f"{where}.{k}")]
     if isinstance(want, list):
         if len(got) != len(want):
-            return [f"{where}: length {len(got)} != {len(want)}"]
-        return [m for i, (g, w) in enumerate(zip(got, want)) for m in _mismatches(g, w, f"{where}[{i}]")]
-    return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+            return [(f"{where} length", len(got), len(want))]
+        return [d for i, (g, w) in enumerate(zip(got, want)) for d in _diffs(g, w, f"{where}[{i}]")]
+    return [] if got == want else [(where, got, want)]
+
+
+def _mismatches(got, want):
+    return [f"{where}: {type(g).__name__} {g!r} != {type(w).__name__} {w!r}"
+            for where, g, w in _diffs(got, want)]
 
 
 def _run(name, workdir):
@@ -141,14 +155,28 @@ def test_mismatches_catch_small_changes():
     assert _mismatches({"a": "APPLIES"}, {"a": "INCONCLUSIVE"}) != []
 
 
+def _relative(new, old) -> str:
+    if isinstance(new, float) and isinstance(old, float) and max(abs(new), abs(old)) > 0.0:
+        return f"{abs(new - old) / max(abs(new), abs(old)):.3g}"
+    return "-"
+
+
 if __name__ == "__main__":
+    report = "--report" in sys.argv[1:]
+    cases = [a for a in sys.argv[1:] if a != "--report"] or sorted(CASES)
     os.makedirs(GOLDEN, exist_ok=True)
     scratch = tempfile.mkdtemp()
     try:
-        for case in sorted(CASES):
+        for case in cases:
             for out in _run(case, scratch):
-                shutil.copy(out, os.path.join(GOLDEN, os.path.basename(out)))
-                print(os.path.basename(out))
+                name = os.path.basename(out)
+                golden = os.path.join(GOLDEN, name)
+                if not report:
+                    shutil.copy(out, golden)
+                    print(name)
+                    continue
+                for where, new, old in _diffs(_load(out), _load(golden)):
+                    print(f"{name} {where}: {old!r} -> {new!r} (relative change {_relative(new, old)})")
     finally:
         shutil.rmtree(scratch)
     sys.exit(0)

@@ -202,8 +202,8 @@ class TestCriterionTrajectories:
         assert np.allclose(traj.values, 3.0 * (traj.t - 1.0), atol=1e-8)
 
     def test_moment_path_matches_direct_quadrature(self):
-        # integer exponents take the moment expansion, alpha = 1.5 the
-        # one-pass panel engine; both against scipy's QUADPACK per grid point
+        # integer and non-integer exponents alike run on the one
+        # Gauss-Kronrod panel engine; held to scipy's QUADPACK per grid point
         integrate = pytest.importorskip("scipy.integrate")
         fx = get_fixture("example31")
         model = fx.build()

@@ -1,4 +1,5 @@
-"""Adaptive quadrature, cumulative-table and weighted-series tests."""
+"""Adaptive quadrature, cumulative-table and weighted-series tests: one
+Gauss-Kronrod panel engine behind all three."""
 
 import math
 import sys
@@ -177,7 +178,9 @@ class TestWeightedSeries:
             assert np.allclose(nodes, ref_nodes, rtol=0.0, atol=1e-14)
             assert np.allclose(weights, ref_weights, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("alpha", [1.5, 2.7])
+    # alpha = 0 and 2 give the integer exponents 0 to 3, where the weight is
+    # a polynomial and the panel ending at t_k keeps the Kronrod rule
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, 2.0, 2.7])
     def test_example31_series_match_scipy(self, alpha):
         integrate = pytest.importorskip("scipy.integrate")
         fx = get_fixture("example31")
@@ -220,14 +223,36 @@ class TestWeightedSeries:
         res = integrate_adaptive(counted, 8.5, [9.7, 10.5], 1e-10, breakpoints=edges, power=0.5)
         assert res.evals == counted.calls > 0
 
-    def test_one_pass_costs_about_one_cumulative_table(self):
+    def test_one_pass_is_linear_in_the_grid(self):
+        # one pass serves the whole grid: a few panels per gap, not a fresh
+        # quadrature from a for every grid point
         fx = get_fixture("example31")
-        pts = GeometricGrid(1.0, 1.15, 40).points()
-        table_fn = _Counted(fx.d_fn())
-        cumulative(table_fn, 1.0, pts, DEFAULT_TOL)
-        series_fn = _Counted(fx.d_fn())
-        integrate_adaptive(series_fn, 1.0, pts, DEFAULT_TOL, power=1.5)
-        assert series_fn.calls <= 2 * table_fn.calls
+        calls = {}
+        for count in (40, 80):
+            series_fn = _Counted(fx.d_fn())
+            integrate_adaptive(series_fn, 1.0, GeometricGrid(1.0, 1.15, count).points(), DEFAULT_TOL,
+                               power=1.5)
+            assert series_fn.calls <= 37 * (count - 1)
+            calls[count] = series_fn.calls
+        assert calls[80] <= 2.2 * calls[40]
+
+    @pytest.mark.parametrize("breakpoints", [None, [9.0, 9.0 + 9.0**-5, 10.0, 10.0 + 10.0**-5]])
+    def test_scalar_and_cumulative_forms_are_the_power_zero_series(self, breakpoints):
+        # one rule: the single integral is the one-point series at m = 0 and
+        # the cumulative table the series along its grid, bit for bit
+        f = compile_fn(parse(BUMP_SRC))
+        g = lambda t: math.sin(t) + min(f(t), 0.0) ** 2
+        grid = [8.5, 9.7, 10.5, 12.0]
+        for b in grid:
+            one = integrate_adaptive(g, 8.0, b, 1e-10, breakpoints=breakpoints)
+            series = integrate_adaptive(g, 8.0, [b], 1e-10, breakpoints=breakpoints, power=0)
+            assert (one.value, one.evals, one.warning) == (series.value[0], series.evals, series.warning)
+        counted = _Counted(g)
+        table = cumulative(counted, 8.0, grid, 1e-10, breakpoints=breakpoints)
+        series = integrate_adaptive(g, 8.0, [8.0, *grid], 1e-10, breakpoints=breakpoints, power=0)
+        assert table.values.tolist() == series.value.tolist()
+        assert counted.calls == series.evals
+        assert table.warning == series.warning
 
     def test_roundoff_limited_bump_sets_warning(self):
         # example32's bump at n = 30 is known only to ulp(30) in t - floor(t),
@@ -256,7 +281,8 @@ class TestWeightedSeries:
         assert res.value[2] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize("a, ends, m", [(1.0, [2.0, 1.5], 0.5), (1.0, [0.5, 2.0], 0.5),
-                                            (1.0, [2.0], -1.0)])
+                                            (1.0, [2.0], -1.0), (1.0, [2.0, math.inf], 0.5),
+                                            (math.nan, [2.0], 0.5), (1.0, [2.0], math.inf)])
     def test_invalid_input_rejected(self, a, ends, m):
         with pytest.raises(ValueError):
             integrate_adaptive(lambda tau: 1.0, a, ends, power=m)
