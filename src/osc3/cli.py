@@ -198,7 +198,6 @@ def cmd_verify(args) -> int:
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
         h_max=args.h_max,
-        blow_up=args.blow_up,
         feature_windows=fixture.feature_windows(args.tmax),
     )
     report = oscillation_report(
@@ -252,12 +251,12 @@ def _parse_sweep_spec(spec: str):
 
 
 def _sweep_point(payload):
-    fixture, params, theorems, grid, policy, combo, tmax, blow_up = payload
+    fixture, params, theorems, grid, policy, combo, tmax = payload
     model = fixture.build(params)
     row = [rep.overall for rep in _theorem_reports(fixture, model, theorems, grid, policy)]
     # the zero count integrates the same equation as `verify`
     ode_model = fixture.build_ode_model(params) if fixture.ode_r_src else model
-    controls = OdeControls(blow_up=blow_up, feature_windows=fixture.feature_windows(tmax))
+    controls = OdeControls(feature_windows=fixture.feature_windows(tmax))
     row.append(str(len(count_zeros(integrate_third_order(ode_model, combo, tmax, controls)))))
     return row
 
@@ -282,8 +281,7 @@ def cmd_sweep(args) -> int:
     for _, values in sweeps:
         points = [prev + (val,) for prev in points for val in values]
     names = [name for name, _ in sweeps]
-    payloads = [(fixture, dict(zip(names, point)), theorems, grid, policy, combo, args.tmax, args.blow_up)
-                for point in points]
+    payloads = [(fixture, dict(zip(names, point)), theorems, grid, policy, combo, args.tmax) for point in points]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, payloads))
@@ -441,7 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--rel-tol", type=float, default=1e-9)
     verify.add_argument("--abs-tol", type=float, default=1e-12)
     verify.add_argument("--h-max", type=float, default=0.1)
-    verify.add_argument("--blow-up", type=float, default=1e30)
     verify.add_argument("--out", help="write the JSON report here (default stdout)")
     verify.set_defaults(func=cmd_verify)
 
@@ -452,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(sweep)
     sweep.add_argument("--tmax", type=float, default=30.0, help="horizon for the zero-count column")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--blow-up", type=float, default=1e30)
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--out", help="write the CSV here (default stdout)")
     sweep.set_defaults(func=cmd_sweep)

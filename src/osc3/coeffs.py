@@ -34,6 +34,8 @@ VALIDATE_N = 256  # ... at this many points for build_model and a D override
 SPLIT_N = 1024  # make_split probes p1, p2 and their sum at this many points
 SIGN_SPAN = 1e4  # condition (a) and p == 0 are sampled on [t0, t0 + SIGN_SPAN] ...
 SIGN_N = 1024  # ... and condition (a) at this many points
+ORACLE_N_GRID = 1000  # d_oracle scans this many cells of [0, u_max] ...
+ORACLE_U_TOL = 1e-10  # ... and refines the best one to this width
 
 
 class ModelError(ValueError):
@@ -175,31 +177,24 @@ def _golden_min(f, lo, hi, tol):
     xm = 0.5 * (a + b)
     return xm, f(xm)
 
-def d_oracle(
-    model: CoefficientModel,
-    t: float,
-    *,
-    u_max: float | None = None,
-    n_grid: int = 1000,
-    u_tol: float = 1e-10,
-) -> float:
+
+def d_oracle(model: CoefficientModel, t: float) -> float:
     """Infimum over u >= 0 of G(t, u) by brute scan, refined by golden section.
 
-    Independent of :func:`d_closed` on purpose; the default ``u_max`` always
-    contains the interior critical point of the cubic.
+    Independent of :func:`d_closed` on purpose; the scanned [0, u_max]
+    always contains the interior critical point of the cubic.
     """
     p = model.p_at(t)
     c = model.q_at(t) - model.p_prime_at(t)
     r = model.r_at(t)
-    if u_max is None:
-        u_max = 10.0 * (1.0 + abs(p) + math.sqrt(abs(c)))
-    grid = np.linspace(0.0, u_max, n_grid + 1)
+    u_max = 10.0 * (1.0 + abs(p) + math.sqrt(abs(c)))
+    grid = np.linspace(0.0, u_max, ORACLE_N_GRID + 1)
     vals = ((grid + p) * grid + c) * grid + r
     k = int(np.argmin(vals))
     lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, n_grid)]
+    hi = grid[min(k + 1, ORACLE_N_GRID)]
     g_scalar = lambda u: ((u + p) * u + c) * u + r
-    _, fmin = _golden_min(g_scalar, lo, hi, u_tol)
+    _, fmin = _golden_min(g_scalar, lo, hi, ORACLE_U_TOL)
     return min(fmin, float(vals[k]), r)
 
 

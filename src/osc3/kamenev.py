@@ -223,13 +223,6 @@ def _d_fn_for(model: CoefficientModel, d_fn) -> Callable[[float], float]:
     return lambda t: d_closed(model, t)
 
 
-def _weighted_series(g, a, pts, m, breakpoints):
-    """int_a^{t_k} (t_k - tau)^m g(tau) dtau for every grid point, plus the
-    warning flag."""
-    res = integrate_adaptive(g, a, pts, TOL, breakpoints=breakpoints, power=m)
-    return res.value, res.warning
-
-
 def cumulative_D(
     model: CoefficientModel,
     grid: GeometricGrid,
@@ -250,13 +243,13 @@ def cumulative_D(
     if pts[0] < model.t0:
         raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
     d = _d_fn_for(model, d_fn)
-    vals, warn = _weighted_series(d, model.t0, pts, 0, breakpoints)
-    warnings = ["quadrature depth cap reached"] if warn else []
+    res = integrate_adaptive(d, model.t0, pts, TOL, breakpoints=breakpoints, power=0)
+    warnings = ["quadrature depth cap reached"] if res.warning else []
     if criterion_id == THM32C:
-        verdict = classify_limsup(vals, policy)
+        verdict = classify_limsup(res.value, policy)
     else:
-        verdict = classify_bounded_below(vals, policy)
-    return CriterionTrajectory(criterion_id, None, pts, vals, verdict, warnings)
+        verdict = classify_bounded_below(res.value, policy)
+    return CriterionTrajectory(criterion_id, None, pts, res.value, verdict, warnings)
 
 
 def criterion_kamenev(
@@ -294,10 +287,11 @@ def criterion_kamenev(
     d = _d_fn_for(model, d_fn)
     warnings = []
     if mode == THM33G:
-        series, warn = _weighted_series(d, a0, pts, alpha, breakpoints)
-        vals = series / pts ** alpha
+        res = integrate_adaptive(d, a0, pts, TOL, breakpoints=breakpoints, power=alpha)
+        vals = res.value / pts ** alpha
+        warn = res.warning
     else:
-        d_part, warn_d = _weighted_series(d, a0, pts, alpha + 1.0, breakpoints)
+        d_part = integrate_adaptive(d, a0, pts, TOL, breakpoints=breakpoints, power=alpha + 1.0)
         if mode == THM31B:
             def pen(tau):
                 v = p_minus(model, tau)
@@ -309,9 +303,9 @@ def criterion_kamenev(
                 return p_minus(model, tau)
 
             coeff = alpha + 1.0
-        p_part, warn_p = _weighted_series(pen, a0, pts, alpha, breakpoints)
-        vals = (d_part - coeff * p_part) / pts ** (alpha + 1.0)
-        warn = warn_d or warn_p
+        p_part = integrate_adaptive(pen, a0, pts, TOL, breakpoints=breakpoints, power=alpha)
+        vals = (d_part.value - coeff * p_part.value) / pts ** (alpha + 1.0)
+        warn = d_part.warning or p_part.warning
     if warn:
         warnings.append("quadrature depth cap reached")
     if not np.all(np.isfinite(vals)):
@@ -349,11 +343,11 @@ def criterion_lazer(
     if pts[0] < model.t0:
         raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
     warnings = []
-    vals, warn = _weighted_series(lazer_integrand(model), model.t0, pts, 0, breakpoints)
-    if warn:
+    res = integrate_adaptive(lazer_integrand(model), model.t0, pts, TOL, breakpoints=breakpoints, power=0)
+    if res.warning:
         warnings.append("quadrature depth cap reached")
-    verdict = classify_limsup(vals, policy)
-    return CriterionTrajectory(LAZER, None, pts, vals, verdict, warnings)
+    verdict = classify_limsup(res.value, policy)
+    return CriterionTrajectory(LAZER, None, pts, res.value, verdict, warnings)
 
 
 @dataclass
@@ -391,8 +385,8 @@ def check_33f(
     def abs_p1(t: float) -> float:
         return abs(split.p1_at(t))
 
-    vals, warn = _weighted_series(abs_p1, model.t0, pts, 0, breakpoints)
-    verdict = classify_limsup(vals, policy)
+    res = integrate_adaptive(abs_p1, model.t0, pts, TOL, breakpoints=breakpoints, power=0)
+    verdict = classify_limsup(res.value, policy)
     integrable_ok = verdict.kind == BOUNDED
 
     decades = max(int(math.ceil(math.log10(horizon / t0))), 1)
@@ -414,7 +408,7 @@ def check_33f(
         integrable_ok and bounded_ok,
         integrable_ok,
         verdict,
-        float(vals[-1]),
+        float(res.value[-1]),
         bounded_ok,
         sups,
         float(horizon),

@@ -12,18 +12,19 @@ keeps refined zero locations honest to well below the sample spacing.
 
 The equation is linear and homogeneous, so any positive rescaling of the
 state is again a solution with the same zeros.  The integrator exploits
-this: when the state norm passes ``renorm_threshold`` it is scaled back to
+this: when the state norm passes ``RENORM_THRESHOLD`` it is scaled back to
 order one and the accumulated log factor is recorded per sample.  That
 lets solutions growing like exp(t^3) be followed across hundreds of
 decades of magnitude, which direct storage in floats cannot do; sign
 patterns and zero locations are exact under the rescaling.  Consumers
 that need true magnitudes (the Wronskian) reapply the stored factors.
 
-With renormalization off (the nonlinear Riccati path), solutions that
-leave |state| > blow_up are truncated and flagged rather than raised: a
-genuinely growing mode is an informative outcome here, not a failure.
-Coefficients with narrow active windows (bump trains) can supply
-``feature_windows`` so steps never leap over a bump unsampled.
+The nonlinear Riccati equation cannot be rescaled, so its caller passes an
+``escape`` bound instead: a solution that leaves |state| > escape is
+truncated and flagged rather than raised, since a genuinely growing mode
+is an informative outcome there, not a failure.  Coefficients with narrow
+active windows (bump trains) can supply ``feature_windows`` so steps never
+leap over a bump unsampled.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ COMPLETED = "completed"
 BLOW_UP = "blow_up"
 STEP_UNDERFLOW = "step_underflow"
 ZERO_TOL = 1e-9  # count_zeros refines each zero to a bracket this wide
+RENORM_THRESHOLD = 1e150  # the linear system's state is rescaled past this norm
+MAX_STEPS = 10**6  # _dopri refuses a span longer than this many steps of h_max
 
 
 @dataclass
@@ -54,13 +57,11 @@ class OdeControls:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     h_max: float = 0.1
-    blow_up: float = 1e30
     zero_tol: float = field(init=False, default=ZERO_TOL)  # recorded in reports, not settable
-    renorm_threshold: float | None = 1e150  # None disables rescaling
     feature_windows: Sequence[tuple] | None = None  # [(lo, hi), ...] narrow active regions
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "h_max", "blow_up"):
+        for name in ("rel_tol", "abs_tol", "h_max"):
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -74,9 +75,8 @@ class OdeControls:
             "rel_tol": self.rel_tol,
             "abs_tol": self.abs_tol,
             "h_max": self.h_max,
-            "blow_up": self.blow_up,
             "zero_tol": self.zero_tol,
-            "renorm_threshold": self.renorm_threshold,
+            "renorm_threshold": RENORM_THRESHOLD,
             "feature_windows": len(self.feature_windows) if self.feature_windows else 0,
         }
 
@@ -162,19 +162,7 @@ class Trajectory:
         )
 
 
-def _dopri(
-    deriv,
-    t0: float,
-    init,
-    t_max: float,
-    *,
-    rel_tol: float,
-    abs_tol: float,
-    h_max: float,
-    blow_up: float,
-    windows=None,
-    renorm_threshold=None,
-):
+def _dopri(deriv, t0: float, init, t_max: float, controls: OdeControls, escape: float | None = None):
     """Dormand-Prince 5(4) on a state of up to three components, unrolled in
     plain floats.  The coefficient evaluations dominate the cost, and this
     loop avoids paying numpy dispatch on 3-vectors on top of them.
@@ -186,11 +174,22 @@ def _dopri(
     non-finite stage is rejected and retried at a fifth of its size.
 
     The right side at every node is the FSAL stage, so the returned
-    ``Trajectory`` keeps it as ``slopes`` at no extra evaluation.  When
-    ``renorm_threshold`` is set the state is rescaled to unit norm whenever
-    it passes the threshold; this is only valid for right sides that are
-    1-homogeneous in the state (linear equations).
+    ``Trajectory`` keeps it as ``slopes`` at no extra evaluation.  With no
+    ``escape`` the state is rescaled to unit norm whenever it passes
+    ``RENORM_THRESHOLD``, which is only valid for right sides that are
+    1-homogeneous in the state (linear equations).  With ``escape`` the run
+    ends as BLOW_UP at the first node with |state| > escape.
+
+    A span longer than ``MAX_STEPS`` steps of ``controls.h_max`` is refused
+    up front, since stepping through it would not finish.
     """
+    rel_tol, abs_tol, h_max = controls.rel_tol, controls.abs_tol, controls.h_max
+    if t_max - t0 > MAX_STEPS * h_max:
+        raise ValueError(
+            f"t_max={t_max!r} is more than {MAX_STEPS} steps of h_max={h_max!r} past t0={t0!r}"
+        )
+    windows = controls.feature_windows
+    renorm_threshold = RENORM_THRESHOLD
     a21 = 0.2
     a31, a32 = 3.0 / 40.0, 9.0 / 40.0
     a41, a42, a43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -288,7 +287,7 @@ def _dopri(
             scales.append(log_scale)
             stats.accepted += 1
             norm = max(abs(ya), abs(yb), abs(yc))
-            if renorm_threshold is not None:
+            if escape is None:
                 if norm > renorm_threshold:
                     inv = 1.0 / norm
                     ya *= inv
@@ -298,7 +297,7 @@ def _dopri(
                     k1b *= inv
                     k1c *= inv
                     log_scale += math.log(norm)
-            elif norm > blow_up:
+            elif norm > escape:
                 status = BLOW_UP
                 break
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
@@ -331,24 +330,8 @@ def integrate_third_order(
     """Integrate one solution from state (phi, phi', phi'') at model.t0."""
     if not model.t0 < t_max < math.inf:
         raise ValueError(f"t_max={t_max} must be finite and exceed t0={model.t0}")
-    controls = controls or OdeControls()
-    traj = _dopri(
-        _linear_rhs(model),
-        model.t0,
-        initial,
-        t_max,
-        rel_tol=controls.rel_tol,
-        abs_tol=controls.abs_tol,
-        h_max=controls.h_max,
-        blow_up=controls.blow_up,
-        windows=controls.feature_windows,
-        renorm_threshold=controls.renorm_threshold,
-    )
-    if traj.status == BLOW_UP:
-        traj.warnings.append(
-            f"trajectory truncated at t={traj.t_end:.6g}: |state| exceeded {controls.blow_up:.3g}"
-        )
-    elif traj.status == STEP_UNDERFLOW:
+    traj = _dopri(_linear_rhs(model), model.t0, initial, t_max, controls or OdeControls())
+    if traj.status == STEP_UNDERFLOW:
         traj.warnings.append(f"trajectory truncated at t={traj.t_end:.6g}: step size underflow")
     return traj
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -138,9 +139,12 @@ def _weighted_series(f, a, ends, m, tol, breakpoints) -> QuadResult:
     if not -1.0 < m < math.inf:
         raise ValueError(f"power must be finite and exceed -1, got {m!r}")
     t = np.asarray(ends, dtype=float)
-    if not (math.isfinite(a) and np.isfinite(t).all()):
+    # plain floats: np.any costs a Python frame more than the array methods
+    # of the loop below, which a caller near the recursion limit may not have
+    ts = t.tolist()
+    if not (math.isfinite(a) and all(map(math.isfinite, ts))):
         raise ValueError("quadrature needs a finite start and finite right ends")
-    if np.any(t[1:] < t[:-1]) or (len(t) and t[0] < a):
+    if any(map(operator.lt, ts[1:], ts)) or (ts and ts[0] < a):
         raise ValueError("quadrature needs nondecreasing right ends >= a")
     out = np.zeros(len(t))
     if not len(t) or t[-1] == a:

@@ -9,7 +9,7 @@ consistency, which is exactly what makes it a useful cross-check.
 ``bernoulli_closed`` evaluates the explicit solution of
 u' + (3/2)u^2 + p_-(t) u = 0 by quadrature.  ``solve_riccati1`` integrates a
 general scalar Riccati equation y' + f y^2 + g y + h = 0 with finite-time
-blow-up detection, and ``comparison_check`` wires two such problems into the
+escape detection, and ``comparison_check`` wires two such problems into the
 ordering test: sampled preconditions, the weighted hypothesis trace, and a
 pointwise y1 >= y2 verdict.
 """
@@ -32,6 +32,8 @@ LINEARIZED = "LINEARIZED"
 MIN_RESIDUAL_POINTS = 8  # fewest samples riccati2_residual evaluates on
 ETA_CHECK_POINTS = 64  # comparison_check samples each eta inequality here ...
 ETA_CHECK_TOL = 1e-6  # ... to this relative tolerance
+CONTROLS = OdeControls(rel_tol=1e-10, abs_tol=1e-12)  # every Riccati solve steps with these
+ESCAPE = 1e12  # a Riccati solution with |y| past this has escaped
 
 
 def _as_fn(obj) -> Callable[[float], float]:
@@ -59,40 +61,27 @@ class RiccatiProblem:
         self.h_at = _as_fn(self.h)
 
 
-def solve_riccati1(
-    prob: RiccatiProblem, t_max: float, controls: OdeControls | None = None
-) -> Trajectory:
+def solve_riccati1(prob: RiccatiProblem, t_max: float) -> Trajectory:
     """Integrate y' = -(f y^2 + g y + h) from (t_start, y_start); y is the
     one column of the returned trajectory.
 
-    Solutions escaping |y| > controls.blow_up stop there with status
-    BLOW_UP, so ``t_end`` is the escape time; step underflow while chasing a
-    vertical asymptote is folded into the same blow-up status.
+    Solutions escaping |y| > ESCAPE stop there with status BLOW_UP, so
+    ``t_end`` is the escape time; step underflow while chasing a vertical
+    asymptote is folded into the same blow-up status.
     """
     if not prob.t_start < t_max < math.inf:
         raise ValueError(f"t_max={t_max!r} must be finite and exceed t_start={prob.t_start!r}")
-    controls = controls or OdeControls(rel_tol=1e-10, abs_tol=1e-12, blow_up=1e12)
     f_at, g_at, h_at = prob.f_at, prob.g_at, prob.h_at
 
     def deriv(t, v, _b, _c):
         return -(f_at(t) * v * v + g_at(t) * v + h_at(t)), 0.0, 0.0
 
-    traj = _dopri(
-        deriv,
-        prob.t_start,
-        (prob.y_start,),
-        t_max,
-        rel_tol=controls.rel_tol,
-        abs_tol=controls.abs_tol,
-        h_max=controls.h_max,
-        blow_up=controls.blow_up,
-        windows=controls.feature_windows,
-    )
+    traj = _dopri(deriv, prob.t_start, (prob.y_start,), t_max, CONTROLS, escape=ESCAPE)
     if traj.status == STEP_UNDERFLOW:
         traj.status = BLOW_UP
         traj.warnings.append(f"step underflow at t={traj.t_end:.6g}, treated as blow-up")
     if traj.status == BLOW_UP:
-        traj.warnings.append(f"solution escaped |y|>{controls.blow_up:.3g} near t={traj.t_end:.6g}")
+        traj.warnings.append(f"solution escaped |y|>{ESCAPE:.3g} near t={traj.t_end:.6g}")
     return traj
 
 
@@ -274,7 +263,6 @@ def comparison_check(
     t_max: float,
     variant: str = AS_WRITTEN,
     *,
-    controls: OdeControls | None = None,
     n_grid: int = 400,
 ) -> ComparisonReport:
     """Ordering test for two scalar Riccati equations.
@@ -288,17 +276,20 @@ def comparison_check(
 
     where D is (f2-f1)^2 y2^2 + (g2-g1) y2 + h2 - h1 for variant AS_WRITTEN
     and (f2-f1) y2^2 + ... for LINEARIZED, then reports whether y1 >= y2
-    pointwise up to tol = max(1e-8, 1e-6 |y2|) on the shared window.
+    pointwise up to tol = max(1e-8, 1e-6 |y2|) on the shared window,
+    sampled at ``n_grid`` >= 2 points.
     """
     if variant not in (AS_WRITTEN, LINEARIZED):
         raise ValueError(f"unknown variant {variant!r}")
+    if n_grid < 2:
+        raise ValueError(f"n_grid must be at least 2, got {n_grid}")
     if prob1.t_start != prob2.t_start:
         raise ValueError("both problems must share t_start")
     t0 = prob1.t_start
     eta1_fn = _as_fn(eta1)
     eta2_fn = _as_fn(eta2)
-    y2 = solve_riccati1(prob2, t_max, controls)
-    y1 = solve_riccati1(prob1, t_max, controls)
+    y2 = solve_riccati1(prob2, t_max)
+    y1 = solve_riccati1(prob1, t_max)
     warnings = list(y1.warnings) + list(y2.warnings)
     t_hi = min(y1.t_end, y2.t_end)
     if t_hi <= t0:

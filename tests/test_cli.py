@@ -129,6 +129,14 @@ class TestVerify:
         kinds = {s["classification"] for s in doc["solutions"]}
         assert "OSCILLATORY_EVIDENCE" not in kinds
 
+    def test_every_stepper_flag_reaches_the_solutions(self, capsys):
+        # a flag that no longer reaches the stepper would leave them unchanged
+        argv = ["verify", "--fixture", "lazer", "--tmax", "10", "--combos", "1"]
+        base = run_json(capsys, argv)["solutions"]
+        for flag in (["--rel-tol", "1e-6"], ["--abs-tol", "1e-6"], ["--h-max", "0.05"]):
+            assert run_json(capsys, argv + flag)["solutions"] != base, flag
+        assert main(argv + ["--blow-up", "1e3"]) == 2
+
 
 class TestSweep:
     def test_flip_along_beta(self, tmp_path):
@@ -297,6 +305,26 @@ class TestErrorPaths:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
+        assert "Traceback" not in err
+
+    # horizons no run of the stepper could finish, and trace grids with nothing to compare
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["verify", "--fixture", "lazer", "--tmax", "1e300", "--combos", "0"], ("t_max", "h_max")),
+            (["verify", "--fixture", "lazer", "--tmax", "50", "--h-max", "1e-9"], ("t_max", "h_max")),
+            (["sweep", "--p", "0", "--q", "0", "--r", "r0", "--sweep", "r0=1:1:1", "--tmax", "1e300",
+              "--theorem", "lazer", "--grid-count", "16"], ("t_max", "h_max")),
+            (["riccati", "--comparison", "linear", "--t-end", "1e300"], ("t_max", "h_max")),
+            (["riccati", "--n-grid", "0"], ("n_grid",)),
+            (["riccati", "--n-grid", "-3"], ("n_grid",)),
+            (["riccati", "--n-grid", "1"], ("n_grid",)),
+        ],
+    )
+    def test_step_budget_and_trace_grid_return_2(self, argv, names, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(name in err for name in names)
         assert "Traceback" not in err
 
     def test_missing_sources(self, capsys):

@@ -9,13 +9,16 @@ from osc3.coeffs import build_model, d_closed
 from osc3.fixtures import get_fixture
 from osc3.ode import (
     COMPLETED,
+    MAX_STEPS,
     OSCILLATORY_EVIDENCE,
+    RENORM_THRESHOLD,
     TYPE_2_1,
     TYPE_3_2,
     ZERO_TOL,
     OdeControls,
     StepStats,
     Trajectory,
+    _dopri,
     _linear_rhs,
     classify_lemma21,
     count_zeros,
@@ -213,10 +216,10 @@ class TestRenormalization:
     def test_agreement_with_unrenormalized_run(self):
         fx = get_fixture("example31")
         model = fx.build_ode_model()
-        ctl_renorm = OdeControls(rel_tol=1e-8)
-        ctl_plain = OdeControls(rel_tol=1e-8, renorm_threshold=None, blow_up=1e300)
-        tr_r = integrate_third_order(model, (1.0, 0.0, 0.0), 12.0, ctl_renorm)
-        tr_p = integrate_third_order(model, (1.0, 0.0, 0.0), 12.0, ctl_plain)
+        ctl = OdeControls(rel_tol=1e-8)
+        tr_r = integrate_third_order(model, (1.0, 0.0, 0.0), 12.0, ctl)
+        # an escape bound turns rescaling off; exp(12^3 / 3) stays below it
+        tr_p = _dopri(_linear_rhs(model), model.t0, (1.0, 0.0, 0.0), 12.0, ctl, escape=1e300)
         assert tr_r.status == COMPLETED
         assert tr_p.status == COMPLETED
         assert tr_r.log_scale[-1] > 100.0
@@ -236,6 +239,18 @@ class TestRenormalization:
             assert tr.status == COMPLETED
             counts.append(len(count_zeros(tr)))
         assert counts[0] == counts[1]
+
+
+class TestContract:
+    def test_controls_record_the_rescaling_threshold(self):
+        d = OdeControls().as_dict()
+        assert d["renorm_threshold"] == RENORM_THRESHOLD
+        assert "blow_up" not in d
+
+    def test_span_beyond_the_step_budget_is_refused(self):
+        ctl = OdeControls(h_max=1e-3)
+        with pytest.raises(ValueError, match="h_max"):
+            integrate_third_order(UNIT_R, (1.0, 0.0, 0.0), 1.0 + MAX_STEPS * 1e-3 * 1.01, ctl)
 
 
 class TestEngineeredFixtures:
