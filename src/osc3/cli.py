@@ -18,6 +18,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -62,12 +64,26 @@ def _parse_theorems(text: str | None, default: tuple) -> list:
     return [t for t in _CANONICAL_ORDER if t in chosen]
 
 
+def _open_output(path: str):
+    """Open ``path`` for writing as a new file.  An existing regular file is
+    unlinked first, not truncated: ext4 starts writing back a file that was
+    truncated to zero and rewritten as soon as it is closed, and on a busy
+    disk that close waits up to 0.2 s; a new file is written back later."""
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+            os.unlink(path)
+    except OSError:
+        pass  # missing or not removable: open() reports any real error
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _dump_json(payload: dict, path: str | None) -> None:
     """Write ``payload`` as sorted, indented JSON.  A result dataclass in it
     is written as the dict of its fields, so report keys are field names."""
     text = json.dumps(payload, sort_keys=True, indent=2, default=asdict) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        with _open_output(path) as f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -87,7 +103,7 @@ def _theorem_dict(rep: TheoremReport) -> dict:
 
 
 def _write_trajectory_csv(path: str, reports) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _open_output(path) as f:
         writer = csv.writer(f, lineterminator="\r\n")
         writer.writerow(["t", "S", "criterion_id", "alpha"])
         for rep in reports:
@@ -296,7 +312,7 @@ def cmd_sweep(args) -> int:
         writer.writerow([repr(float(v)) for v in point] + row)
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
+        with _open_output(args.out) as f:
             f.write(text)
     else:
         sys.stdout.write(text)

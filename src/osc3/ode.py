@@ -1,18 +1,27 @@
 """Direct integration of phi''' + p phi'' + q phi' + r phi = 0.
 
-One stepper, ``_dopri``, serves both equations osc3 integrates: the linear
-third-order system here and the scalar Riccati equation in ``riccati``.  It
-is a Dormand-Prince 5(4) embedded pair with FSAL, step-size control on a
-mixed absolute/relative error norm, and a hard cap ``h_max`` on accepted
-steps so that stored samples are dense enough for zero counting.
-It returns one ``Trajectory``: the accepted nodes with the state and the
+One Dormand-Prince 5(4) step loop, ``_DOPRI_TEMPLATE``, serves both
+equations osc3 integrates: the linear third-order system here and the
+scalar Riccati equation in ``riccati``.  It is an embedded pair with FSAL,
+step-size control on a mixed absolute/relative error norm, and a hard cap
+``h_max`` on accepted steps so that stored samples are dense enough for
+zero counting.  ``_stepper(width)`` expands the loop into plain float code
+for a state of that many components, once per width: 3 for one solution,
+9 for the fundamental matrix, 1 for a Riccati solution.  ``_dopri`` runs it
+and returns one ``Trajectory``: the accepted nodes with the state and the
 right side at each.  ``Trajectory.at`` interpolates every column between
 nodes by the cubic Hermite polynomial of those values and slopes, which
 keeps refined zero locations honest to well below the sample spacing.
 
-The equation is linear and homogeneous, so any positive rescaling of the
-state is again a solution with the same zeros.  The integrator exploits
-this: when the state norm passes ``RENORM_THRESHOLD`` it is scaled back to
+The equation is linear, so every solution is Phi(t) v, where Phi is the
+fundamental matrix with Phi(t0) = I (Coddington & Levinson 1955, ch. 3).
+``oscillation_report`` and ``fundamental_basis`` integrate Phi once, with
+p, q and r evaluated once per stage for all nine entries, and read each
+solution off it with ``Trajectory.solution(v)``.
+
+The equation is also homogeneous, so any positive rescaling of the state
+is again a solution with the same zeros.  The integrator exploits this:
+when the state's max norm passes ``RENORM_THRESHOLD`` it is scaled back to
 order one and the accumulated log factor is recorded per sample.  That
 lets solutions growing like exp(t^3) be followed across hundreds of
 decades of magnitude, which direct storage in floats cannot do; sign
@@ -30,8 +39,11 @@ leap over a bump unsampled.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-from dataclasses import dataclass, field
+import re
+from array import array
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -65,8 +77,6 @@ class OdeControls:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        for name in ("rel_tol", "abs_tol"):
-            value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
 
@@ -129,7 +139,9 @@ class Trajectory:
     ``states[k]`` and ``slopes[k]`` are the state and the right side at
     ``t[k]``, both stored divided by exp(log_scale[k]); ``log_scale`` is all
     zeros when nothing was rescaled.  The columns are (phi, phi', phi'') for
-    the third-order system and y alone for a scalar Riccati equation.
+    one solution of the third-order system, the nine entries of the
+    fundamental matrix Phi row by row for a matrix solve, and y alone for a
+    scalar Riccati equation.
     """
 
     t: np.ndarray
@@ -161,72 +173,50 @@ class Trajectory:
             t0, t1, self.states[k], self.slopes[k], self.states[k + 1] * ratio, self.slopes[k + 1] * ratio, t
         )
 
+    def solution(self, v) -> Trajectory:
+        """The solution Phi v of a fundamental-matrix trajectory, on the same
+        nodes and log scale.  States and slopes are linear in v, so ``at``,
+        ``count_zeros`` and ``classify_lemma21`` read it like a single
+        solve from initial state Phi(t0) v."""
+        v = np.asarray(v, dtype=float)
+        states, slopes = (a.reshape(len(self.t), 3, 3) @ v for a in (self.states, self.slopes))
+        return replace(self, states=states, slopes=slopes, warnings=list(self.warnings))
 
-def _dopri(deriv, t0: float, init, t_max: float, controls: OdeControls, escape: float | None = None):
-    """Dormand-Prince 5(4) on a state of up to three components, unrolled in
-    plain floats.  The coefficient evaluations dominate the cost, and this
-    loop avoids paying numpy dispatch on 3-vectors on top of them.
 
-    ``deriv(t, a, b, c)`` returns the right side as a 3-tuple.  A shorter
-    ``init`` is padded with zeros, which ``deriv`` must keep at zero
-    derivative; the error norm is the RMS over the ``len(init)`` given
-    components, and the trajectory keeps only those columns.  A step with a
-    non-finite stage is rejected and retried at a fifth of its size.
-
-    The right side at every node is the FSAL stage, so the returned
-    ``Trajectory`` keeps it as ``slopes`` at no extra evaluation.  With no
-    ``escape`` the state is rescaled to unit norm whenever it passes
-    ``RENORM_THRESHOLD``, which is only valid for right sides that are
-    1-homogeneous in the state (linear equations).  With ``escape`` the run
-    ends as BLOW_UP at the first node with |state| > escape.
-
-    A span longer than ``MAX_STEPS`` steps of ``controls.h_max`` is refused
-    up front, since stepping through it would not finish.
-    """
-    rel_tol, abs_tol, h_max = controls.rel_tol, controls.abs_tol, controls.h_max
-    if t_max - t0 > MAX_STEPS * h_max:
-        raise ValueError(
-            f"t_max={t_max!r} is more than {MAX_STEPS} steps of h_max={h_max!r} past t0={t0!r}"
-        )
-    windows = controls.feature_windows
-    renorm_threshold = RENORM_THRESHOLD
+# The one Dormand-Prince 5(4) step loop, written once for a state of any
+# width.  ``_stepper(width)`` expands it for the components y0, y1, ...: a
+# line holding ``@`` is repeated once per component with ``@`` replaced by
+# the index, and ``<pattern|sep>`` becomes the pattern for every component
+# joined by sep.  The expansion is plain float code, unrolled like a loop
+# written by hand, so a 3-vector pays no numpy dispatch per stage and a
+# 3x3 matrix evaluates the coefficients once per stage for all nine entries.
+_DOPRI_TEMPLATE = """
+def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape):
     a21 = 0.2
     a31, a32 = 3.0 / 40.0, 9.0 / 40.0
     a41, a42, a43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
     a51, a52, a53, a54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
     a61, a62, a63, a64, a65 = (
-        9017.0 / 3168.0,
-        -355.0 / 33.0,
-        46732.0 / 5247.0,
-        49.0 / 176.0,
-        -5103.0 / 18656.0,
+        9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0
     )
     a71, a73, a74, a75, a76 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
     c2, c3, c4, c5 = 0.2, 0.3, 0.8, 8.0 / 9.0
     # error weights, fifth minus fourth order (the second is zero)
     e1, e3, e4, e5, e6, e7 = (
-        71.0 / 57600.0,
-        -71.0 / 16695.0,
-        71.0 / 1920.0,
-        -17253.0 / 339200.0,
-        22.0 / 525.0,
-        -1.0 / 40.0,
+        71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0
     )
     isfinite = math.isfinite
-
     dim = len(init)
-    ya, yb, yc = (float(v) for v in tuple(init) + (0.0,) * (3 - dim))
-    t = float(t0)
+    <y@|, >, = init
     stats = StepStats()
-    limiter = _StepLimiter(windows) if windows else None
-    ts = [t]
-    ys = [(ya, yb, yc)]
-    k1a, k1b, k1c = deriv(t, ya, yb, yc)
-    dys = [(k1a, k1b, k1c)]
+    ts = array("d", (t,))
+    ys = array("d", init)
+    <k1_@|, >, = deriv(t, <y@|, >)
+    dys = array("d", (<k1_@|, >,))
     log_scale = 0.0
-    scales = [0.0]
+    scales = array("d", (0.0,))
     status = COMPLETED
-    h = min(h_max, 1e-2, max(t_max - t0, 1e-12))
+    h = min(h_max, 1e-2, max(t_max - t, 1e-12))
     while t < t_max:
         h = min(h, h_max, t_max - t)
         if limiter is not None:
@@ -235,67 +225,44 @@ def _dopri(deriv, t0: float, init, t_max: float, controls: OdeControls, escape: 
             status = STEP_UNDERFLOW
             break
         tt = t + c2 * h
-        sa = ya + h * (a21 * k1a)
-        sb = yb + h * (a21 * k1b)
-        sc = yc + h * (a21 * k1c)
-        k2a, k2b, k2c = deriv(tt, sa, sb, sc)
+        s@ = y@ + h * (a21 * k1_@)
+        <k2_@|, >, = deriv(tt, <s@|, >)
         tt = t + c3 * h
-        sa = ya + h * (a31 * k1a + a32 * k2a)
-        sb = yb + h * (a31 * k1b + a32 * k2b)
-        sc = yc + h * (a31 * k1c + a32 * k2c)
-        k3a, k3b, k3c = deriv(tt, sa, sb, sc)
+        s@ = y@ + h * (a31 * k1_@ + a32 * k2_@)
+        <k3_@|, >, = deriv(tt, <s@|, >)
         tt = t + c4 * h
-        sa = ya + h * (a41 * k1a + a42 * k2a + a43 * k3a)
-        sb = yb + h * (a41 * k1b + a42 * k2b + a43 * k3b)
-        sc = yc + h * (a41 * k1c + a42 * k2c + a43 * k3c)
-        k4a, k4b, k4c = deriv(tt, sa, sb, sc)
+        s@ = y@ + h * (a41 * k1_@ + a42 * k2_@ + a43 * k3_@)
+        <k4_@|, >, = deriv(tt, <s@|, >)
         tt = t + c5 * h
-        sa = ya + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a)
-        sb = yb + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b)
-        sc = yc + h * (a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c)
-        k5a, k5b, k5c = deriv(tt, sa, sb, sc)
+        s@ = y@ + h * (a51 * k1_@ + a52 * k2_@ + a53 * k3_@ + a54 * k4_@)
+        <k5_@|, >, = deriv(tt, <s@|, >)
         tt = t + h
-        sa = ya + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a)
-        sb = yb + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b)
-        sc = yc + h * (a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c)
-        k6a, k6b, k6c = deriv(tt, sa, sb, sc)
-        na = ya + h * (a71 * k1a + a73 * k3a + a74 * k4a + a75 * k5a + a76 * k6a)
-        nb = yb + h * (a71 * k1b + a73 * k3b + a74 * k4b + a75 * k5b + a76 * k6b)
-        nc = yc + h * (a71 * k1c + a73 * k3c + a74 * k4c + a75 * k5c + a76 * k6c)
-        k7a, k7b, k7c = deriv(tt, na, nb, nc)
-        erra = h * (e1 * k1a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
-        errb = h * (e1 * k1b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
-        errc = h * (e1 * k1c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
-        den = abs_tol + rel_tol * max(abs(ya), abs(na))
-        ra = erra / den
-        den = abs_tol + rel_tol * max(abs(yb), abs(nb))
-        rb = errb / den
-        den = abs_tol + rel_tol * max(abs(yc), abs(nc))
-        rc = errc / den
-        err = math.sqrt((ra * ra + rb * rb + rc * rc) / dim)
-        if not (isfinite(na) and isfinite(nb) and isfinite(nc) and isfinite(err)):
+        s@ = y@ + h * (a61 * k1_@ + a62 * k2_@ + a63 * k3_@ + a64 * k4_@ + a65 * k5_@)
+        <k6_@|, >, = deriv(tt, <s@|, >)
+        n@ = y@ + h * (a71 * k1_@ + a73 * k3_@ + a74 * k4_@ + a75 * k5_@ + a76 * k6_@)
+        <k7_@|, >, = deriv(tt, <n@|, >)
+        d@ = h * (e1 * k1_@ + e3 * k3_@ + e4 * k4_@ + e5 * k5_@ + e6 * k6_@ + e7 * k7_@)
+        r@ = d@ / (abs_tol + rel_tol * max(abs(y@), abs(n@)))
+        err = math.sqrt((<r@ * r@| + >) / dim)
+        if not (<isfinite(n@)| and > and isfinite(err)):
             stats.rejected += 1
             h *= 0.2
             continue
         if err <= 1.0:
             t = tt
-            ya, yb, yc = na, nb, nc
-            k1a, k1b, k1c = k7a, k7b, k7c  # FSAL
+            y@ = n@
+            k1_@ = k7_@  # FSAL
             ts.append(t)
-            ys.append((ya, yb, yc))
-            dys.append((k1a, k1b, k1c))
+            ys.extend((<y@|, >,))
+            dys.extend((<k1_@|, >,))
             scales.append(log_scale)
             stats.accepted += 1
-            norm = max(abs(ya), abs(yb), abs(yc))
+            norm = max((<abs(y@)|, >,))
             if escape is None:
-                if norm > renorm_threshold:
+                if norm > RENORM_THRESHOLD:
                     inv = 1.0 / norm
-                    ya *= inv
-                    yb *= inv
-                    yc *= inv
-                    k1a *= inv
-                    k1b *= inv
-                    k1c *= inv
+                    y@ *= inv
+                    k1_@ *= inv
                     log_scale += math.log(norm)
             elif norm > escape:
                 status = BLOW_UP
@@ -305,32 +272,107 @@ def _dopri(deriv, t0: float, init, t_max: float, controls: OdeControls, escape: 
             stats.rejected += 1
             fac = max(0.1, 0.9 * err ** -0.2)
         h *= fac
-    return Trajectory(
-        np.array(ts), np.array(ys)[:, :dim], np.array(dys)[:, :dim], np.array(scales), status, stats
+    return ts, ys, dys, scales, status, stats
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _stepper(width: int):
+    """The step loop of ``_DOPRI_TEMPLATE`` expanded for ``width`` components."""
+    lines = []
+    for line in _DOPRI_TEMPLATE.splitlines():
+        line = re.sub(
+            r"<(.*?)\|(.*?)>",
+            lambda m: m[2].join(m[1].replace("@", str(i)) for i in range(width)),
+            line,
+        )
+        if "@" in line:
+            lines.extend(line.replace("@", str(i)) for i in range(width))
+        else:
+            lines.append(line)
+    scope = {"array": array, "math": math, "StepStats": StepStats, "COMPLETED": COMPLETED,
+             "BLOW_UP": BLOW_UP, "STEP_UNDERFLOW": STEP_UNDERFLOW, "RENORM_THRESHOLD": RENORM_THRESHOLD}
+    exec(compile("\n".join(lines), f"<dopri width {width}>", "exec"), scope)
+    return scope["dopri"]
+
+
+def _dopri(deriv, t0: float, init, t_max: float, controls: OdeControls, escape: float | None = None):
+    """Dormand-Prince 5(4) from state ``init`` at t0, by the step loop
+    expanded for ``len(init)`` components.
+
+    ``deriv(t, y0, y1, ...)`` returns the right side as a tuple of the same
+    width.  The error norm is the RMS over the components.  A step with a
+    non-finite stage is rejected and retried at a fifth of its size.
+
+    The right side at every node is the FSAL stage, so the returned
+    ``Trajectory`` keeps it as ``slopes`` at no extra evaluation.  The nodes
+    are stored flat in ``array('d')`` and read with ``np.frombuffer``.  With
+    no ``escape`` the state is rescaled to unit max norm whenever it passes
+    ``RENORM_THRESHOLD``, which is only valid for right sides that are
+    1-homogeneous in the state (linear equations).  With ``escape`` the run
+    ends as BLOW_UP at the first node with |state| > escape.
+
+    A span longer than ``MAX_STEPS`` steps of ``controls.h_max`` is refused
+    up front, since stepping through it would not finish.
+    """
+    h_max = controls.h_max
+    if t_max - t0 > MAX_STEPS * h_max:
+        raise ValueError(
+            f"t_max={t_max!r} is more than {MAX_STEPS} steps of h_max={h_max!r} past t0={t0!r}"
+        )
+    windows = controls.feature_windows
+    limiter = _StepLimiter(windows) if windows else None
+    init = [float(v) for v in init]
+    width = len(init)
+    ts, ys, dys, scales, status, stats = _stepper(width)(
+        deriv, float(t0), init, t_max, controls.rel_tol, controls.abs_tol, h_max, limiter, escape
     )
+    states = np.frombuffer(ys).reshape(-1, width)
+    slopes = np.frombuffer(dys).reshape(-1, width)
+    return Trajectory(np.frombuffer(ts), states, slopes, np.frombuffer(scales), status, stats)
 
 
-def _linear_rhs(model: CoefficientModel):
+def _linear_rhs(model: CoefficientModel, width: int = 3):
     """Right side of the third order equation as a first order system in
-    (phi, phi', phi''): phi''' = -(p phi'' + q phi' + r phi)."""
+    (phi, phi', phi''): phi''' = -(p phi'' + q phi' + r phi).  At width 9
+    the state is a 3x3 matrix stored row by row (row i holds the i-th
+    derivative of the three columns), and p, q and r are evaluated once for
+    all three columns."""
     p_at, q_at, r_at = model.p_at, model.q_at, model.r_at
+    if width == 3:
 
-    def deriv(t, a, b, c):
-        return b, c, -(p_at(t) * c + q_at(t) * b + r_at(t) * a)
+        def deriv(t, a, b, c):
+            return b, c, -(p_at(t) * c + q_at(t) * b + r_at(t) * a)
 
-    return deriv
+        return deriv
+
+    def deriv_matrix(t, a0, a1, a2, b0, b1, b2, c0, c1, c2):
+        p, q, r = p_at(t), q_at(t), r_at(t)
+        return (
+            b0, b1, b2, c0, c1, c2,
+            -(p * c0 + q * b0 + r * a0), -(p * c1 + q * b1 + r * a1), -(p * c2 + q * b2 + r * a2),
+        )
+
+    return deriv_matrix
 
 
 def integrate_third_order(
     model: CoefficientModel,
-    initial: Sequence[float],
+    initial,
     t_max: float,
     controls: OdeControls | None = None,
 ) -> Trajectory:
-    """Integrate one solution from state (phi, phi', phi'') at model.t0."""
+    """Integrate one solution from state (phi, phi', phi'') at model.t0, or,
+    when ``initial`` is a 3x3 matrix whose columns are such states, the
+    fundamental matrix Phi with Phi(t0) = initial: one solve with one step
+    size, error norm and log scale for all nine entries, stored row by row.
+    ``Trajectory.solution(v)`` reads the solution Phi v off it."""
     if not model.t0 < t_max < math.inf:
         raise ValueError(f"t_max={t_max} must be finite and exceed t0={model.t0}")
-    traj = _dopri(_linear_rhs(model), model.t0, initial, t_max, controls or OdeControls())
+    init = np.ravel(initial).tolist()
+    if len(init) not in (3, 9):
+        raise ValueError(f"initial must be a 3-vector or a 3x3 matrix, got {len(init)} values")
+    traj = _dopri(_linear_rhs(model, len(init)), model.t0, init, t_max, controls or OdeControls())
     if traj.status == STEP_UNDERFLOW:
         traj.warnings.append(f"trajectory truncated at t={traj.t_end:.6g}: step size underflow")
     return traj
@@ -339,9 +381,10 @@ def integrate_third_order(
 def fundamental_basis(
     model: CoefficientModel, t_max: float, controls: OdeControls | None = None
 ) -> list:
-    """The three solutions with identity initial data at t0."""
-    eye = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    return [integrate_third_order(model, init, t_max, controls) for init in eye]
+    """The three solutions with identity initial data at t0: the columns of
+    one fundamental-matrix solve, so they share its nodes and log scale."""
+    phi = integrate_third_order(model, np.eye(3), t_max, controls)
+    return [phi.solution(e) for e in np.eye(3)]
 
 
 @dataclass
@@ -478,21 +521,22 @@ def oscillation_report(
     *,
     min_zeros: int = 5,
 ) -> OscillationReport:
-    """Integrate the fundamental basis plus seeded random unit combinations
-    and classify each; evidence is declared if any solution oscillates."""
+    """Classify the fundamental basis plus seeded random unit combinations;
+    evidence is declared if any solution oscillates.  The equation is solved
+    once, for the fundamental matrix Phi, and each solution is read off it
+    as Phi v."""
     if n_random < 0:
         raise ValueError(f"n_random must be nonnegative, got {n_random}")
-    controls = controls or OdeControls()
     rng = np.random.default_rng(seed)
     runs = [(f"e{i+1}", init) for i, init in enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))]
     for i in range(n_random):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
         runs.append((f"combo{i+1}", tuple(float(x) for x in v)))
+    phi = integrate_third_order(model, np.eye(3), t_max, controls)
     summaries = []
-    warnings = []
     for label, init in runs:
-        traj = integrate_third_order(model, init, t_max, controls)
+        traj = phi.solution(init)
         zeros = count_zeros(traj)
         cls = classify_lemma21(traj, zeros=zeros, min_zeros=min_zeros)
         summaries.append(
@@ -506,24 +550,25 @@ def oscillation_report(
                 traj.t_end,
             )
         )
-        for w in traj.warnings:
-            warnings.append(f"{label}: {w}")
     evidence = any(s.classification == OSCILLATORY_EVIDENCE for s in summaries)
-    return OscillationReport(summaries, evidence, warnings)
+    return OscillationReport(summaries, evidence, list(phi.warnings))
 
 
 def wronskian(basis: Sequence[Trajectory], t: float) -> float:
     """Determinant of the basis state matrix at t (columns are solutions).
 
-    Renormalized trajectories store rescaled samples; the recorded log
-    factors are reapplied so the determinant refers to the true solutions.
+    The basis is the three columns of one matrix solve, as
+    ``fundamental_basis`` returns it: they share one node set and one log
+    scale, so the stored determinant at t, in the scale of the node k below
+    t, is multiplied by exp(3 log_scale[k]) to refer to the true solutions.
     When every basis solution is dominated by the same growth mode the
     stored columns become numerically parallel and the determinant loses
     all significance regardless of bookkeeping, so consistency checks
     against the first-order trace formula should stay at moderate t.
     """
     cols = [traj.at(t) for traj in basis]
-    log_total = sum(float(traj.log_scale[traj._segment(t)]) for traj in basis)
+    first = basis[0]
+    log_total = 3.0 * float(first.log_scale[first._segment(t)])
     det = float(np.linalg.det(np.column_stack(cols)))
     if log_total == 0.0 or det == 0.0:
         return det

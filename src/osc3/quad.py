@@ -139,8 +139,9 @@ def _weighted_series(f, a, ends, m, tol, breakpoints) -> QuadResult:
     if not -1.0 < m < math.inf:
         raise ValueError(f"power must be finite and exceed -1, got {m!r}")
     t = np.asarray(ends, dtype=float)
-    # plain floats: np.any costs a Python frame more than the array methods
-    # of the loop below, which a caller near the recursion limit may not have
+    # plain floats, and builtin any/all over lists in the loop below: numpy's
+    # any/all run Python frames of their own, and on a cold first call an
+    # ABC subclass check, which a caller near the recursion limit may not have
     ts = t.tolist()
     if not (math.isfinite(a) and all(map(math.isfinite, ts))):
         raise ValueError("quadrature needs a finite start and finite right ends")
@@ -197,7 +198,7 @@ def _weighted_series(f, a, ends, m, tol, breakpoints) -> QuadResult:
         while tasks:
             lo, hi, ends_here, depth, vals, errs = tasks.pop()
             bad = errs > 15.0 * tol * ((hi - lo) / span + np.abs(vals))
-            if not bad.any():
+            if not any(bad.tolist()):
                 out[j0:] += vals
                 continue
             if depth >= MAX_DEPTH:
@@ -210,9 +211,9 @@ def _weighted_series(f, a, ends, m, tol, breakpoints) -> QuadResult:
             halves = left[0] + right[0]
             if (
                 depth >= MIN_DEPTH
-                and (np.abs(halves - vals)[bad] <= ROUNDOFF_REL * np.abs(halves[bad])).all()
+                and all((np.abs(halves - vals)[bad] <= ROUNDOFF_REL * np.abs(halves[bad])).tolist())
                 and (
-                    ((left[1] + right[1])[bad] >= errs[bad]).all()
+                    all(((left[1] + right[1])[bad] >= errs[bad]).tolist())
                     or max(abs(lo), abs(hi)) <= _NARROW * abs(mid)
                 )
             ):

@@ -73,8 +73,8 @@ def solve_riccati1(prob: RiccatiProblem, t_max: float) -> Trajectory:
         raise ValueError(f"t_max={t_max!r} must be finite and exceed t_start={prob.t_start!r}")
     f_at, g_at, h_at = prob.f_at, prob.g_at, prob.h_at
 
-    def deriv(t, v, _b, _c):
-        return -(f_at(t) * v * v + g_at(t) * v + h_at(t)), 0.0, 0.0
+    def deriv(t, v):
+        return (-(f_at(t) * v * v + g_at(t) * v + h_at(t)),)
 
     traj = _dopri(deriv, prob.t_start, (prob.y_start,), t_max, CONTROLS, escape=ESCAPE)
     if traj.status == STEP_UNDERFLOW:

@@ -81,6 +81,23 @@ class TestCheck:
         assert main(argv + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rewrite_replaces_a_file_and_follows_a_link(self, tmp_path):
+        # an existing output is replaced by a new file, not truncated in
+        # place; a symlink is written through, not replaced
+        out = tmp_path / "report.json"
+        out.write_text("x" * 100000)
+        kept = tmp_path / "kept.json"
+        kept.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(kept)
+        argv = ["check", "--fixture", "lazer", "--theorem", "lazer", "--out"]
+        with open(out) as old:
+            assert main(argv + [str(out)]) == 0
+            assert old.read() == "x" * 100000
+        assert main(argv + [str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(out.read_text()) == json.loads(kept.read_text())
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -299,6 +316,8 @@ class TestErrorPaths:
             (["check", "--fixture", "lazer", "--alpha", "nan"], "alpha"),
             (["riccati", "--t-end", "inf"], "t_max"),
             (["riccati", "--t-end", "nan"], "t_max"),
+            # once wrote "h_max": Infinity, which is not JSON
+            (["verify", "--fixture", "lazer", "--tmax", "60", "--combos", "0", "--h-max", "inf"], "h_max"),
         ],
     )
     def test_non_finite_inputs_return_2(self, argv, name, capsys):

@@ -1,6 +1,7 @@
 """Every top-level import in src/osc3 is used by the module that makes it,
-every module-level private name is read somewhere in src/osc3, and no module
-imports scipy, which only the tests use, as an outside reference.
+every module-level private name is read somewhere in src/osc3, no module
+imports scipy, which only the tests use, as an outside reference, and one
+Dormand-Prince tableau serves every state width.
 
 An import counts as used when it is read anywhere else in the module (type
 annotations included) or listed in ``__all__``.  ``from __future__``
@@ -11,6 +12,7 @@ some module in the package loads it as a name or an attribute.
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -122,3 +124,25 @@ def test_checker_sees_a_scipy_import():
     source = "import numpy\ndef f():\n    from scipy.special import roots_jacobi\nimport scipy.integrate as si\n"
     assert scipy_imports(source) == ["line 3", "line 4"]
     assert scipy_imports("from .scipy import x\nimport scipyx\n") == []
+
+
+# the fifth error weight of Dormand-Prince 5(4), which only a tableau holds
+DOPRI_WEIGHT = re.compile(r"-\s*17253\.0\s*/\s*339200\.0")
+
+
+def tableau_copies(sources: dict) -> int:
+    """How many times the Dormand-Prince error weight occurs in the sources."""
+    return sum(len(DOPRI_WEIGHT.findall(src)) for src in sources.values())
+
+
+def test_one_dormand_prince_tableau():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as f:
+            sources[module] = f.read()
+    assert tableau_copies(sources) == 1
+
+
+def test_checker_sees_a_second_tableau():
+    sources = {"ode.py": "e5 = -17253.0 / 339200.0\n", "riccati.py": "E5 = -17253.0/339200.0\n"}
+    assert tableau_copies(sources) == 2

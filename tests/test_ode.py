@@ -269,3 +269,75 @@ class TestEngineeredFixtures:
         traj = integrate_third_order(model, (1.0, 0.0, 0.0), 6.0, ctl)
         assert traj.status == COMPLETED
         assert traj.warnings == []
+
+
+class TestFundamentalMatrix:
+    """``oscillation_report`` and ``fundamental_basis`` solve once for the
+    fundamental matrix Phi and read every solution as Phi v; each reading
+    must agree with a solve of its own from v."""
+
+    @pytest.mark.parametrize(
+        "model, t_max",
+        [
+            (get_fixture("example31").build_ode_model(), 12.0),
+            (get_fixture("lazer").build_ode_model(), 60.0),
+            (UNIT_R, 60.0),
+        ],
+        ids=["example31", "lazer", "constant"],
+    )
+    def test_report_matches_per_solution_solves(self, model, t_max):
+        controls = OdeControls()
+        report = oscillation_report(model, t_max, n_random=2, seed=3, controls=controls)
+        assert len(report.solutions) == 5
+        for s in report.solutions:
+            traj = _dopri(_linear_rhs(model), model.t0, s.initial, t_max, controls)
+            zeros = count_zeros(traj)
+            assert s.zero_count == len(zeros), s.label
+            assert s.classification == classify_lemma21(traj, zeros=zeros), s.label
+            assert (s.status, s.t_end) == (traj.status, traj.t_end), s.label
+            if zeros:
+                assert abs(s.last_zero - zeros[-1].t) <= 1e-6, s.label
+
+    def test_one_solve_per_report_and_basis(self, monkeypatch):
+        from osc3 import ode
+
+        calls = []
+        original = ode.integrate_third_order
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ode, "integrate_third_order", counted)
+        ode.oscillation_report(UNIT_R, 10.0, n_random=4)
+        ode.fundamental_basis(UNIT_R, 10.0)
+        assert calls == [(3, 3), (3, 3)]
+
+    def test_basis_columns_share_nodes_and_scale(self):
+        basis = fundamental_basis(get_fixture("example31").build_ode_model(), 12.0)
+        assert basis[0].log_scale[-1] > 100.0
+        for traj in basis[1:]:
+            assert traj.t is basis[0].t and traj.log_scale is basis[0].log_scale
+
+    def test_matrix_matches_scipy_dop853(self):
+        integrate = pytest.importorskip("scipy.integrate")
+        model = get_fixture("example31").build_ode_model()
+        t_max = 12.0
+        phi = integrate_third_order(model, np.eye(3), t_max)
+        assert phi.log_scale[-1] > 0.0  # the comparison covers a rescale
+        deriv = _linear_rhs(model, 9)
+        ts = [2.0, 6.0, 9.5, 12.0]
+        ref = integrate.solve_ivp(
+            lambda t, y: deriv(t, *y), (model.t0, t_max), np.eye(3).ravel(), method="DOP853",
+            t_eval=ts, rtol=1e-13, atol=1e-300, first_step=1e-3,
+        )
+        assert ref.success
+        for j, t in enumerate(ts):
+            k = phi._segment(t)
+            got = phi.at(t) * math.exp(float(phi.log_scale[k]))
+            want = ref.y[:, j]
+            assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want)), t
+
+    def test_initial_of_another_width_rejected(self):
+        with pytest.raises(ValueError, match="3x3"):
+            integrate_third_order(UNIT_R, (1.0, 0.0), 5.0)
