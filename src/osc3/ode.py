@@ -5,13 +5,11 @@ equations osc3 integrates: the linear third-order system here and the
 scalar Riccati equation in ``riccati``.  It is an embedded pair with FSAL,
 step-size control on a mixed absolute/relative error norm, and a hard cap
 ``h_max`` on accepted steps so that stored samples are dense enough for
-zero counting.  ``_stepper(width)`` expands the loop into plain float code
-for a state of that many components, once per width: 3 for one solution,
-9 for the fundamental matrix, 1 for a Riccati solution.  ``_dopri`` runs it
-and returns one ``Trajectory``: the accepted nodes with the state and the
-right side at each.  ``Trajectory.at`` interpolates every column between
-nodes by the cubic Hermite polynomial of those values and slopes, which
-keeps refined zero locations honest to well below the sample spacing.
+zero counting.  ``_stepper(width, frame)`` expands the loop into plain
+float code for a state of that many components, once per width: 3 for one
+solution, 9 for the fundamental matrix, 1 for a Riccati solution.
+``_dopri`` runs it and returns one ``Trajectory``: the accepted nodes with
+the state and the right side at each.
 
 The equation is linear, so every solution is Phi(t) v, where Phi is the
 fundamental matrix with Phi(t0) = I (Coddington & Levinson 1955, ch. 3).
@@ -19,21 +17,36 @@ fundamental matrix with Phi(t0) = I (Coddington & Levinson 1955, ch. 3).
 p, q and r evaluated once per stage for all nine entries, and read each
 solution off it with ``Trajectory.solution(v)``.
 
-The equation is also homogeneous, so any positive rescaling of the state
-is again a solution with the same zeros.  The integrator exploits this:
-when the state's max norm passes ``RENORM_THRESHOLD`` it is scaled back to
-order one and the accumulated log factor is recorded per sample.  That
-lets solutions growing like exp(t^3) be followed across hundreds of
-decades of magnitude, which direct storage in floats cannot do; sign
-patterns and zero locations are exact under the rescaling.  Consumers
-that need true magnitudes (the Wronskian) reapply the stored factors.
+The equation is also homogeneous, so any positive multiple of a solution
+is a solution with the same zeros.  The linear solve steps in a moving
+exponential frame: psi = exp(-M) (phi, phi', phi''), where M grows on
+each step at mu, the largest real part among the roots of
+x^3 + p x^2 + q x + r at the step's start.  At frozen coefficients the
+dominant solution grows like exp(mu t), so psi stays near rest and the
+step size follows how the coefficients change, not how fast phi grows.
+mu comes in closed form (``_rate``) from the p, q and r the FSAL stage
+already evaluated, so the frame costs no coefficient call.  M is stored
+per node as ``log_scale``; past ``RENORM_THRESHOLD`` the state is also
+rescaled to order one, so solutions growing like exp(t^3) are followed
+across any number of decades.  Sign patterns and zero locations do not
+depend on the scale; consumers that need true magnitudes (the Wronskian,
+``classify_lemma21``) reapply it.
 
-The nonlinear Riccati equation cannot be rescaled, so its caller passes an
-``escape`` bound instead: a solution that leaves |state| > escape is
-truncated and flagged rather than raised, since a genuinely growing mode
-is an informative outcome there, not a failure.  Coefficients with narrow
-active windows (bump trains) can supply ``feature_windows`` so steps never
-leap over a bump unsampled.
+The state of a third-order system is its own jet: a node holds phi, phi'
+and phi'', and its slope adds phi'''.  ``Trajectory.at`` and
+``count_zeros`` read each solution between nodes as the degree-7 Hermite
+interpolant of both nodes' jets, which keeps refined zero locations at
+the accuracy of the solve on the frame's long steps; ``count_zeros`` also
+reads its sign at interior points of each step, so that a long step does
+not hide a pair of zeros between its nodes.
+
+The nonlinear Riccati equation has neither frame nor rescaling, so its
+caller passes an ``escape`` bound instead: a solution that leaves
+|state| > escape is truncated and flagged rather than raised, since a
+genuinely growing mode is an informative outcome there, not a failure.
+Its one column is read by cubic Hermite interpolation.  Coefficients with
+narrow active windows (bump trains) can supply ``feature_windows`` so
+steps never leap over a bump unsampled.
 """
 
 from __future__ import annotations
@@ -54,6 +67,7 @@ COMPLETED = "completed"
 BLOW_UP = "blow_up"
 STEP_UNDERFLOW = "step_underflow"
 ZERO_TOL = 1e-9  # count_zeros refines each zero to a bracket this wide
+ZERO_SAMPLES = 7  # count_zeros also reads each step at this many interior points
 RENORM_THRESHOLD = 1e150  # the linear system's state is rescaled past this norm
 MAX_STEPS = 10**6  # _dopri refuses a span longer than this many steps of h_max
 
@@ -132,16 +146,46 @@ def _hermite(t0, t1, p0, d0, p1, d1, t):
     )
 
 
+def _septic(h, f0, f1, f2, f3, g0, g1, g2, g3):
+    """Coefficients c0..c7 in tau = t - t0 of the degree-7 Hermite
+    interpolant with derivatives 0 to 3 equal to f0..f3 at t0 and to g0..g3
+    at t0 + h.  The first four are the Taylor coefficients at t0, so the
+    value and first two derivatives at t0 come back exactly.  Works
+    elementwise on floats and numpy arrays alike."""
+    # in s = tau / h: a is the Taylor part's coefficients, d what the right
+    # end's derivatives need beyond the Taylor part
+    a1, a2, a3 = f1 * h, f2 * (0.5 * h * h), f3 * (h * h * h / 6.0)
+    d0 = g0 - (f0 + a1 + a2 + a3)
+    d1 = g1 * h - (a1 + 2.0 * a2 + 3.0 * a3)
+    d2 = g2 * (h * h) - (2.0 * a2 + 6.0 * a3)
+    d3 = g3 * (h * h * h) - 6.0 * a3
+    # s^4 (c4 + c5 s + c6 s^2 + c7 s^3) matches d at s = 1
+    c4 = 35.0 * d0 - 15.0 * d1 + 2.5 * d2 - d3 / 6.0
+    c5 = -84.0 * d0 + 39.0 * d1 - 7.0 * d2 + 0.5 * d3
+    c6 = 70.0 * d0 - 34.0 * d1 + 6.5 * d2 - 0.5 * d3
+    c7 = -20.0 * d0 + 10.0 * d1 - 2.0 * d2 + d3 / 6.0
+    h4 = h * h * h * h
+    return f0, f1, 0.5 * f2, f3 / 6.0, c4 / h4, c5 / (h4 * h), c6 / (h4 * h * h), c7 / (h4 * h * h * h)
+
+
+def _horner(c, tau):
+    """The polynomial with coefficients c (lowest first) at tau."""
+    value = c[-1]
+    for ck in c[-2::-1]:
+        value = value * tau + ck
+    return value
+
+
 @dataclass
 class Trajectory:
     """The accepted nodes of one ``_dopri`` run.
 
     ``states[k]`` and ``slopes[k]`` are the state and the right side at
-    ``t[k]``, both stored divided by exp(log_scale[k]); ``log_scale`` is all
-    zeros when nothing was rescaled.  The columns are (phi, phi', phi'') for
-    one solution of the third-order system, the nine entries of the
-    fundamental matrix Phi row by row for a matrix solve, and y alone for a
-    scalar Riccati equation.
+    ``t[k]``, both stored divided by exp(log_scale[k]): the frame's M plus
+    any rescaling for a linear solve, all zeros for a Riccati solve.  The
+    columns are (phi, phi', phi'') for one solution of the third-order
+    system, the nine entries of the fundamental matrix Phi row by row for a
+    matrix solve, and y alone for a scalar Riccati equation.
     """
 
     t: np.ndarray
@@ -156,22 +200,45 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.t[-1])
 
-    def _segment(self, t: float) -> int:
-        """Index k of the step [t[k], t[k+1]] that holds t."""
+    def _segment(self, t):
+        """Index k of the step [t[k], t[k+1]] that holds t, elementwise
+        when t is an array."""
         ts = self.t
-        if not (ts[0] <= t <= ts[-1]):
+        if not np.all((ts[0] <= t) & (t <= ts[-1])):
             raise ValueError(f"t={t!r} outside trajectory span [{ts[0]}, {ts[-1]}]")
-        return min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
+        return np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
 
     def at(self, t: float) -> np.ndarray:
-        """Every column at t by cubic Hermite interpolation of the stored
-        states and slopes, in the scale of node k = ``_segment(t)``."""
+        """The state at t, in the scale of node k = ``_segment(t)``.
+
+        A state of width 3 or 9 holds (phi, phi', phi'') of one or three
+        solutions, and the slope's last row holds phi''', so every node
+        carries each solution's jet to third order: each solution is read
+        as the degree-7 Hermite interpolant P of both nodes' jets, and the
+        rows returned are (P, P', P'').  A Riccati state (width 1) is read
+        by the cubic Hermite polynomial of its values and slopes."""
         k = self._segment(t)
+        if self.states.shape[1] != 1:
+            return self._jets(np.array([t], dtype=float), np.array([k]))[0]
         t0, t1 = self.t[k], self.t[k + 1]
         ratio = math.exp(float(self.log_scale[k + 1]) - float(self.log_scale[k]))
         return _hermite(
             t0, t1, self.states[k], self.slopes[k], self.states[k + 1] * ratio, self.slopes[k + 1] * ratio, t
         )
+
+    def _jets(self, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """The rows (P, P', P'') of ``at`` at each ts[i] in step ks[i], in
+        the scale of node ks[i], for a state of width 3 or 9."""
+        n = self.states.shape[1] // 3
+        ratio = np.exp(self.log_scale[ks + 1] - self.log_scale[ks])[:, None]
+        y0, y1 = self.states[ks], self.states[ks + 1] * ratio
+        f3, g3 = self.slopes[ks, 2 * n:], self.slopes[ks + 1, 2 * n:] * ratio
+        h = (self.t[ks + 1] - self.t[ks])[:, None]
+        c = _septic(h, y0[:, :n], y0[:, n:2 * n], y0[:, 2 * n:], f3, y1[:, :n], y1[:, n:2 * n], y1[:, 2 * n:], g3)
+        dc = [j * cj for j, cj in enumerate(c)][1:]
+        ddc = [j * cj for j, cj in enumerate(dc)][1:]
+        tau = (ts - self.t[ks])[:, None]
+        return np.hstack([_horner(c, tau), _horner(dc, tau), _horner(ddc, tau)])
 
     def solution(self, v) -> Trajectory:
         """The solution Phi v of a fundamental-matrix trajectory, on the same
@@ -184,14 +251,21 @@ class Trajectory:
 
 
 # The one Dormand-Prince 5(4) step loop, written once for a state of any
-# width.  ``_stepper(width)`` expands it for the components y0, y1, ...: a
-# line holding ``@`` is repeated once per component with ``@`` replaced by
-# the index, and ``<pattern|sep>`` becomes the pattern for every component
-# joined by sep.  The expansion is plain float code, unrolled like a loop
-# written by hand, so a 3-vector pays no numpy dispatch per stage and a
-# 3x3 matrix evaluates the coefficients once per stage for all nine entries.
+# width.  ``_stepper(width, frame)`` expands it for the components y0, y1,
+# ...: a line holding ``@`` is repeated once per component with ``@``
+# replaced by the index, and ``<pattern|sep>`` becomes the pattern for every
+# component joined by sep.  A line ending in ``# frame`` is kept only in the
+# moving-frame loop of a linear system, one ending in ``# plain`` only in
+# the loop with an escape bound.  The expansion is plain float code,
+# unrolled like a loop written by hand, so a 3-vector pays no numpy dispatch
+# per stage and a 3x3 matrix evaluates the coefficients once per stage for
+# all nine entries.
+#
+# In the frame the loop steps psi = exp(-M) y with M' = mu, where mu is
+# held at ``node``'s rate at the step's start: every stage is A s - mu s,
+# the stored slope is the raw right side A psi, and M is the log scale.
 _DOPRI_TEMPLATE = """
-def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape):
+def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape, node):
     a21 = 0.2
     a31, a32 = 3.0 / 40.0, 9.0 / 40.0
     a41, a42, a43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -211,10 +285,14 @@ def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape):
     stats = StepStats()
     ts = array("d", (t,))
     ys = array("d", init)
-    <k1_@|, >, = deriv(t, <y@|, >)
-    dys = array("d", (<k1_@|, >,))
+    <f@|, >, = deriv(t, <y@|, >)  # plain
+    <f@|, >, mu = node(t, <y@|, >)  # frame
+    k1_@ = f@  # plain
+    k1_@ = f@ - mu * y@  # frame
+    dys = array("d", (<f@|, >,))
     log_scale = 0.0
     scales = array("d", (0.0,))
+    atol = abs_tol  # the error scale's absolute part, abs_tol * exp(-log_scale) in the frame
     status = COMPLETED
     h = min(h_max, 1e-2, max(t_max - t, 1e-12))
     while t < t_max:
@@ -227,22 +305,30 @@ def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape):
         tt = t + c2 * h
         s@ = y@ + h * (a21 * k1_@)
         <k2_@|, >, = deriv(tt, <s@|, >)
+        k2_@ -= mu * s@  # frame
         tt = t + c3 * h
         s@ = y@ + h * (a31 * k1_@ + a32 * k2_@)
         <k3_@|, >, = deriv(tt, <s@|, >)
+        k3_@ -= mu * s@  # frame
         tt = t + c4 * h
         s@ = y@ + h * (a41 * k1_@ + a42 * k2_@ + a43 * k3_@)
         <k4_@|, >, = deriv(tt, <s@|, >)
+        k4_@ -= mu * s@  # frame
         tt = t + c5 * h
         s@ = y@ + h * (a51 * k1_@ + a52 * k2_@ + a53 * k3_@ + a54 * k4_@)
         <k5_@|, >, = deriv(tt, <s@|, >)
+        k5_@ -= mu * s@  # frame
         tt = t + h
         s@ = y@ + h * (a61 * k1_@ + a62 * k2_@ + a63 * k3_@ + a64 * k4_@ + a65 * k5_@)
         <k6_@|, >, = deriv(tt, <s@|, >)
+        k6_@ -= mu * s@  # frame
         n@ = y@ + h * (a71 * k1_@ + a73 * k3_@ + a74 * k4_@ + a75 * k5_@ + a76 * k6_@)
-        <k7_@|, >, = deriv(tt, <n@|, >)
+        <f@|, >, = deriv(tt, <n@|, >)  # plain
+        <f@|, >, mu_next = node(tt, <n@|, >)  # frame
+        k7_@ = f@  # plain
+        k7_@ = f@ - mu * n@  # frame
         d@ = h * (e1 * k1_@ + e3 * k3_@ + e4 * k4_@ + e5 * k5_@ + e6 * k6_@ + e7 * k7_@)
-        r@ = d@ / (abs_tol + rel_tol * max(abs(y@), abs(n@)))
+        r@ = d@ / (atol + rel_tol * max(abs(y@), abs(n@)))
         err = math.sqrt((<r@ * r@| + >) / dim)
         if not (<isfinite(n@)| and > and isfinite(err)):
             stats.rejected += 1
@@ -251,22 +337,25 @@ def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape):
         if err <= 1.0:
             t = tt
             y@ = n@
-            k1_@ = k7_@  # FSAL
+            log_scale += mu * h  # frame
+            mu = mu_next  # frame
+            k1_@ = k7_@  # plain
+            k1_@ = f@ - mu * y@  # frame
             ts.append(t)
             ys.extend((<y@|, >,))
-            dys.extend((<k1_@|, >,))
+            dys.extend((<f@|, >,))
             scales.append(log_scale)
             stats.accepted += 1
             norm = max((<abs(y@)|, >,))
-            if escape is None:
-                if norm > RENORM_THRESHOLD:
-                    inv = 1.0 / norm
-                    y@ *= inv
-                    k1_@ *= inv
-                    log_scale += math.log(norm)
-            elif norm > escape:
-                status = BLOW_UP
-                break
+            if norm > escape:  # plain
+                status = BLOW_UP  # plain
+                break  # plain
+            if norm > RENORM_THRESHOLD:  # frame
+                inv = 1.0 / norm  # frame
+                y@ *= inv  # frame
+                k1_@ *= inv  # frame
+                log_scale += math.log(norm)  # frame
+            atol = max(abs_tol * math.exp(min(-log_scale, 700.0)), 1e-300)  # frame
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
             stats.rejected += 1
@@ -277,10 +366,14 @@ def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape):
 
 
 @functools.lru_cache(maxsize=None)
-def _stepper(width: int):
-    """The step loop of ``_DOPRI_TEMPLATE`` expanded for ``width`` components."""
+def _stepper(width: int, frame: bool):
+    """The step loop of ``_DOPRI_TEMPLATE`` expanded for ``width``
+    components, in the moving frame or with an escape bound."""
     lines = []
+    drop = "# plain" if frame else "# frame"
     for line in _DOPRI_TEMPLATE.splitlines():
+        if line.endswith(drop):
+            continue
         line = re.sub(
             r"<(.*?)\|(.*?)>",
             lambda m: m[2].join(m[1].replace("@", str(i)) for i in range(width)),
@@ -292,11 +385,14 @@ def _stepper(width: int):
             lines.append(line)
     scope = {"array": array, "math": math, "StepStats": StepStats, "COMPLETED": COMPLETED,
              "BLOW_UP": BLOW_UP, "STEP_UNDERFLOW": STEP_UNDERFLOW, "RENORM_THRESHOLD": RENORM_THRESHOLD}
-    exec(compile("\n".join(lines), f"<dopri width {width}>", "exec"), scope)
+    exec(compile("\n".join(lines), f"<dopri width {width}{' frame' if frame else ''}>", "exec"), scope)
     return scope["dopri"]
 
 
-def _dopri(deriv, t0: float, init, t_max: float, controls: OdeControls, escape: float | None = None):
+def _dopri(
+    deriv, t0: float, init, t_max: float, controls: OdeControls,
+    escape: float | None = None, node=None,
+):
     """Dormand-Prince 5(4) from state ``init`` at t0, by the step loop
     expanded for ``len(init)`` components.
 
@@ -306,15 +402,25 @@ def _dopri(deriv, t0: float, init, t_max: float, controls: OdeControls, escape: 
 
     The right side at every node is the FSAL stage, so the returned
     ``Trajectory`` keeps it as ``slopes`` at no extra evaluation.  The nodes
-    are stored flat in ``array('d')`` and read with ``np.frombuffer``.  With
-    no ``escape`` the state is rescaled to unit max norm whenever it passes
-    ``RENORM_THRESHOLD``, which is only valid for right sides that are
-    1-homogeneous in the state (linear equations).  With ``escape`` the run
-    ends as BLOW_UP at the first node with |state| > escape.
+    are stored flat in ``array('d')`` and read with ``np.frombuffer``.
+    Exactly one of ``escape`` and ``node`` is given:
+
+    - ``escape``: the run ends as BLOW_UP at the first node with
+      |state| > escape.
+    - ``node``, for a linear system: ``node(t, y0, y1, ...)`` returns the
+      right side and then the growth rate mu at t, from one evaluation of
+      the coefficients; it serves the first node and every FSAL stage.
+      The loop steps psi = exp(-M) y with M growing at mu of the step's
+      start, and stores psi with M as ``log_scale``; past
+      ``RENORM_THRESHOLD`` the state is also rescaled to unit max norm.
+      The error scale is ``abs_tol * exp(-M) + rel_tol * |psi|``, so
+      ``abs_tol`` bounds the error of y itself.
 
     A span longer than ``MAX_STEPS`` steps of ``controls.h_max`` is refused
     up front, since stepping through it would not finish.
     """
+    if (escape is None) == (node is None):
+        raise ValueError("give exactly one of escape (any equation) and node (a linear system)")
     h_max = controls.h_max
     if t_max - t0 > MAX_STEPS * h_max:
         raise ValueError(
@@ -324,12 +430,64 @@ def _dopri(deriv, t0: float, init, t_max: float, controls: OdeControls, escape: 
     limiter = _StepLimiter(windows) if windows else None
     init = [float(v) for v in init]
     width = len(init)
-    ts, ys, dys, scales, status, stats = _stepper(width)(
-        deriv, float(t0), init, t_max, controls.rel_tol, controls.abs_tol, h_max, limiter, escape
+    ts, ys, dys, scales, status, stats = _stepper(width, node is not None)(
+        deriv, float(t0), init, t_max, controls.rel_tol, controls.abs_tol, h_max, limiter, escape, node
     )
     states = np.frombuffer(ys).reshape(-1, width)
     slopes = np.frombuffer(dys).reshape(-1, width)
     return Trajectory(np.frombuffer(ts), states, slopes, np.frombuffer(scales), status, stats)
+
+
+def _rate(p: float, q: float, r: float) -> float:
+    """The largest real part among the roots of x^3 + p x^2 + q x + r, in
+    closed form: the growth rate of the equation with p, q and r frozen.
+
+    With x = z - p/3 the cubic is z^3 + a z + b.  Three real roots take
+    Viete's cosine form; otherwise the real root u + v comes from Cardano's
+    formula with u the cube root free of cancellation, and the complex pair
+    has real part -(u + v)/2.  Coefficients too large for the formula give
+    0: the frame stands still and rescaling alone keeps the state in range.
+    """
+    s = p / 3.0
+    a = q - p * s
+    b = r - s * (q - 2.0 * s * s)
+    half, third = 0.5 * b, a / 3.0
+    disc = half * half + third * third * third
+    if disc < 0.0:
+        m = math.sqrt(-third)
+        z = 2.0 * m * math.cos(math.acos(max(-1.0, min(1.0, -half / (m * m * m)))) / 3.0)
+    else:
+        u = -math.copysign((abs(half) + math.sqrt(disc)) ** (1.0 / 3.0), half)
+        z = u - third / u if u != 0.0 else 0.0
+        z = max(z, -0.5 * z)
+    mu = z - s
+    return mu if math.isfinite(mu) else 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_pair(width: int):
+    """The factory of ``_linear_rhs``'s two closures for ``width``
+    components, compiled once per width from one expression of the right
+    side, so that the two cannot drift apart."""
+    n = width // 3
+    args = ", ".join(f"y{i}" for i in range(width))
+    right = ", ".join(
+        [f"y{i}" for i in range(n, width)]
+        + [f"-(p * y{2 * n + j} + q * y{n + j} + r * y{j})" for j in range(n)]
+    )
+    source = "\n".join([
+        "def pair(p_at, q_at, r_at):",
+        f"    def deriv(t, {args}):",
+        "        p, q, r = p_at(t), q_at(t), r_at(t)",
+        f"        return {right}",
+        f"    def node(t, {args}):",
+        "        p, q, r = p_at(t), q_at(t), r_at(t)",
+        f"        return {right}, _rate(p, q, r)",
+        "    return deriv, node",
+    ])
+    scope = {"_rate": _rate}
+    exec(compile(source, f"<linear rhs width {width}>", "exec"), scope)
+    return scope["pair"]
 
 
 def _linear_rhs(model: CoefficientModel, width: int = 3):
@@ -337,23 +495,13 @@ def _linear_rhs(model: CoefficientModel, width: int = 3):
     (phi, phi', phi''): phi''' = -(p phi'' + q phi' + r phi).  At width 9
     the state is a 3x3 matrix stored row by row (row i holds the i-th
     derivative of the three columns), and p, q and r are evaluated once for
-    all three columns."""
-    p_at, q_at, r_at = model.p_at, model.q_at, model.r_at
-    if width == 3:
+    all three columns.
 
-        def deriv(t, a, b, c):
-            return b, c, -(p_at(t) * c + q_at(t) * b + r_at(t) * a)
-
-        return deriv
-
-    def deriv_matrix(t, a0, a1, a2, b0, b1, b2, c0, c1, c2):
-        p, q, r = p_at(t), q_at(t), r_at(t)
-        return (
-            b0, b1, b2, c0, c1, c2,
-            -(p * c0 + q * b0 + r * a0), -(p * c1 + q * b1 + r * a1), -(p * c2 + q * b2 + r * a2),
-        )
-
-    return deriv_matrix
+    Returns ``(deriv, node)``: ``deriv(t, y0, y1, ...)`` is the right side,
+    and ``node`` is the same right side with the growth rate
+    ``_rate(p, q, r)`` appended, from the same one evaluation of p, q and
+    r, for the ``node`` of ``_dopri``."""
+    return _linear_pair(width)(model.p_at, model.q_at, model.r_at)
 
 
 def integrate_third_order(
@@ -372,7 +520,8 @@ def integrate_third_order(
     init = np.ravel(initial).tolist()
     if len(init) not in (3, 9):
         raise ValueError(f"initial must be a 3-vector or a 3x3 matrix, got {len(init)} values")
-    traj = _dopri(_linear_rhs(model, len(init)), model.t0, init, t_max, controls or OdeControls())
+    deriv, node = _linear_rhs(model, len(init))
+    traj = _dopri(deriv, model.t0, init, t_max, controls or OdeControls(), node=node)
     if traj.status == STEP_UNDERFLOW:
         traj.warnings.append(f"trajectory truncated at t={traj.t_end:.6g}: step size underflow")
     return traj
@@ -394,46 +543,77 @@ class ZeroRecord:
     bracket_hi: float
 
 
+def _bisect(c, a, lo, hi, flo):
+    """The zero of the polynomial c (in t - a) in [lo, hi], where it has
+    the sign of flo at lo and not at hi, bisected to width <= ZERO_TOL."""
+    for _ in range(200):
+        if hi - lo <= ZERO_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = _horner(c, mid - a)
+        if fm == 0.0 or (flo < 0.0) != (fm < 0.0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return ZeroRecord(0.5 * (lo + hi), lo, hi)
+
+
 def count_zeros(traj: Trajectory) -> list:
-    """Sign-change zeros of phi, refined by bisection on the Hermite
-    interpolant to a bracket of width <= ZERO_TOL."""
-    ts = traj.t.tolist()
-    phi = traj.states[:, 0].tolist()
-    dphi = traj.states[:, 1].tolist()
-    log_scale = traj.log_scale
+    """Sign-change zeros of phi for one solution (a state of width 3),
+    refined by bisection on the degree-7 interpolant P of ``Trajectory.at``
+    to a bracket of width <= ZERO_TOL.
+
+    Each step is read at its two nodes and at ``ZERO_SAMPLES`` evenly
+    spaced interior points of P, so a pair of zeros inside one step is
+    counted unless the two lie between neighbouring samples.  A step whose
+    samples change sign once is bisected over the whole step; one with
+    more changes, between the samples that bracket each change."""
+    if traj.states.shape[1] != 3:
+        raise ValueError(f"count_zeros reads one solution (width 3), got width {traj.states.shape[1]}")
+    ts = traj.t
+    phi = traj.states[:, 0]
     zeros = []
-    for k in range(len(ts) - 1):
-        a = ts[k]
-        fa, fb = phi[k], phi[k + 1]
-        if fa == 0.0:
-            if not zeros or zeros[-1].t != a:
-                zeros.append(ZeroRecord(a, a, a))
-            continue
-        # the factor to the scale of node k is >= 1, so it cannot decide the
-        # sign; signs are compared, not the product, which can underflow to 0
-        if fb == 0.0 or (fa < 0.0) == (fb < 0.0):
-            continue
-        ratio = math.exp(float(log_scale[k + 1]) - float(log_scale[k]))
-        b, fb, da, db = ts[k + 1], fb * ratio, dphi[k], dphi[k + 1] * ratio
-        lo, hi, flo = a, b, fa
-        for _ in range(200):
-            if hi - lo <= ZERO_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            fm = _hermite(a, b, fa, da, fb, db, mid)
-            if fm == 0.0 or (flo < 0.0) != (fm < 0.0):
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        zeros.append(ZeroRecord(0.5 * (lo + hi), lo, hi))
+    if len(ts) > 1:
+        # the factor to the scale of node k is positive, so it cannot decide
+        # a sign; signs are compared, not products, which can underflow
+        ratio = np.exp(np.diff(traj.log_scale))[:, None]
+        y0, y1 = traj.states[:-1], traj.states[1:] * ratio
+        d3 = traj.slopes[:, 2:]
+        h = np.diff(ts)[:, None]
+        c = _septic(h, y0[:, :1], y0[:, 1:2], y0[:, 2:], d3[:-1], y1[:, :1], y1[:, 1:2], y1[:, 2:], d3[1:] * ratio)
+        tau = h * (np.arange(1, ZERO_SAMPLES + 1) / (ZERO_SAMPLES + 1))
+        samples = np.hstack([phi[:-1, None], _horner(c, tau), phi[1:, None]])
+        tau = np.hstack([np.zeros_like(h), tau, h])
+        nonzero = samples != 0.0
+        negative = samples < 0.0
+        change = nonzero[:, :-1] & nonzero[:, 1:] & (negative[:, :-1] != negative[:, 1:])
+        # a zero sample is a zero; the right node's is taken by the next step
+        touch = ~nonzero[:, :-1]
+        for k in np.flatnonzero(change.any(axis=1) | touch.any(axis=1)).tolist():
+            a = float(ts[k])
+            ck = [float(ci[k, 0]) for ci in c]
+            whole = change[k].sum() == 1 and not touch[k].any()
+            for j in range(ZERO_SAMPLES + 1):
+                if touch[k, j]:
+                    t = a + float(tau[k, j])
+                    if not zeros or zeros[-1].t != t:
+                        zeros.append(ZeroRecord(t, t, t))
+                elif change[k, j]:
+                    if whole:
+                        lo, hi, flo = a, float(ts[k + 1]), samples[k, 0]
+                    else:
+                        lo, hi, flo = a + float(tau[k, j]), a + float(tau[k, j + 1]), samples[k, j]
+                    zeros.append(_bisect(ck, a, lo, hi, float(flo)))
     if len(ts) and phi[-1] == 0.0:
-        t_last = ts[-1]
+        t_last = float(ts[-1])
         if not zeros or zeros[-1].t != t_last:
             zeros.append(ZeroRecord(t_last, t_last, t_last))
     return zeros
 
 
-TAIL_FRACTION = 0.25  # classify_lemma21 reads the final quarter of the span
+TAIL_FRACTION = 0.25  # classify_lemma21 reads the final quarter of the span ...
+TAIL_SAMPLES = 64  # ... at this many evenly spaced points
+JET_EPS = 1e-12  # a sample's sign test tolerance, relative to its node's jet
 
 TYPE_2_1 = "TYPE_2_1"
 TYPE_3_2 = "TYPE_3_2"
@@ -456,40 +636,47 @@ def classify_lemma21(
     TYPE_3_2: tail has one sign and phi*phi' >= 0 -- the growing pattern
     (reported for either sign of phi; a solution and its negative match the
     same pattern).  Everything else is UNCLASSIFIED.
+
+    The tail is the final ``TAIL_FRACTION`` of the span, read through
+    ``Trajectory.at`` at ``TAIL_SAMPLES`` evenly spaced points, so the step
+    sizes do not decide how many samples it holds.  Each sample's signs are
+    judged against the size of its own node's jet, and |phi'|, |phi''| are
+    compared across the tail in true magnitude (log scale included), so a
+    tail spanning many decades or a rescale keeps its pattern.
     """
     if zeros is None:
         zeros = count_zeros(traj)
     t_end = traj.t_end
     if len(zeros) >= min_zeros and zeros[-1].t > t_end / 10.0:
         return OSCILLATORY_EVIDENCE
-    t_tail = t_end - TAIL_FRACTION * (t_end - float(traj.t[0]))
-    mask = traj.t >= t_tail
-    if int(np.sum(mask)) < 8:
+    if len(traj.t) < 2:
         return UNCLASSIFIED
-    phi = traj.states[mask, 0]
-    dphi = traj.states[mask, 1]
-    ddphi = traj.states[mask, 2]
-    scale = float(np.max(np.abs(phi)))
-    if scale == 0.0:
+    ts = np.linspace(t_end - TAIL_FRACTION * (t_end - float(traj.t[0])), t_end, TAIL_SAMPLES)
+    ks = traj._segment(ts)
+    # each sample divided by the size of its node's jet: both are in that
+    # node's scale, so no magnitude is compared across scales here
+    size = np.max(np.abs(traj.states[ks]), axis=1)
+    if not np.all(size > 0.0):
         return UNCLASSIFIED
-    eps = 1e-12 * scale
-    sign = 1.0 if phi[np.argmax(np.abs(phi))] > 0 else -1.0
-    phi_n = sign * phi
-    dphi_n = sign * dphi
-    ddphi_n = sign * ddphi
-    one_signed = bool(np.all(phi_n > -eps))
-    if not one_signed:
+    jets = traj._jets(ts, ks)
+    phi, dphi, ddphi = (jets / size[:, None]).T
+    # true magnitudes in log form: log |value| plus the node's log scale
+    with np.errstate(divide="ignore"):
+        log_phi, log_dphi, log_ddphi = (np.log(np.abs(jets)) + traj.log_scale[ks, None]).T
+    sign = 1.0 if phi[np.argmax(log_phi)] > 0 else -1.0
+    phi_n, dphi_n, ddphi_n = sign * phi, sign * dphi, sign * ddphi
+    if not np.all(phi_n > -JET_EPS):
         return UNCLASSIFIED
-    if np.all(phi_n * dphi_n <= eps * np.max(np.abs(dphi) + 1e-300)):
-        pattern = np.all(dphi_n <= eps) and np.all(ddphi_n >= -eps)
-        half = len(phi) // 2
+    if np.all(phi_n * dphi_n <= JET_EPS):
+        pattern = np.all(dphi_n <= JET_EPS) and np.all(ddphi_n >= -JET_EPS)
+        half = TAIL_SAMPLES // 2
         shrinking = (
-            np.max(np.abs(dphi[half:])) <= np.max(np.abs(dphi[:half])) + eps
-            and np.max(np.abs(ddphi[half:])) <= np.max(np.abs(ddphi[:half])) + eps
+            np.max(log_dphi[half:]) <= np.max(log_dphi[:half])
+            and np.max(log_ddphi[half:]) <= np.max(log_ddphi[:half])
         )
         if pattern and shrinking:
             return TYPE_2_1
-    if np.all(phi_n * dphi_n >= -eps * np.max(np.abs(dphi) + 1e-300)) and np.all(phi_n > eps):
+    if np.all(phi_n * dphi_n >= -JET_EPS) and np.all(phi_n > JET_EPS):
         return TYPE_3_2
     return UNCLASSIFIED
 

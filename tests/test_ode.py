@@ -1,6 +1,7 @@
 """Direct integration, zero counting, classification, and the wronskian."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from osc3.ode import (
     Trajectory,
     _dopri,
     _linear_rhs,
+    _rate,
     classify_lemma21,
     count_zeros,
     fundamental_basis,
@@ -50,13 +52,15 @@ class TestIntegrationAccuracy:
             )
 
         for t in (2.0, 3.3, 5.0):
-            assert traj.at(t)[0] == pytest.approx(exact(t), abs=1e-6)
+            got = traj.at(t)[0] * math.exp(float(traj.log_scale[traj._segment(t)]))
+            assert got == pytest.approx(exact(t), abs=1e-6)
 
     def test_pure_growth_mode(self):
         # phi''' = phi with the (1,1,1) eigen-direction gives e^(t-1)
         m = build_model("0", "0", "-1")
         traj = integrate_third_order(m, (1.0, 1.0, 1.0), 20.0)
-        assert traj.at(5.0)[0] == pytest.approx(math.exp(4.0), rel=1e-6)
+        got = traj.at(5.0)[0] * math.exp(float(traj.log_scale[traj._segment(5.0)]))
+        assert got == pytest.approx(math.exp(4.0), rel=1e-6)
 
     def test_state_outside_span_rejected(self):
         traj = integrate_third_order(TRIPLE_ZERO, (1.0, 0.0, 0.0), 5.0)
@@ -74,12 +78,23 @@ class TestTrajectory:
         assert traj.status == COMPLETED
         if name == "example31":
             assert traj.log_scale[-1] > 0.0  # the check covers a rescale
-        deriv = _linear_rhs(model)
+        deriv, _ = _linear_rhs(model)
         for k in range(len(traj.t)):
             expect = np.array(deriv(float(traj.t[k]), *traj.states[k].tolist()))
             assert traj.slopes[k].tobytes() == expect.tobytes(), k
         for k in range(len(traj.t) - 1):
             assert np.array_equal(traj.at(traj.t[k]), traj.states[k]), k
+
+    def test_matrix_slopes_are_the_right_side_at_each_node(self):
+        model = get_fixture("example31").build_ode_model()
+        phi = integrate_third_order(model, np.eye(3), 12.0)
+        assert phi.log_scale[-1] > 0.0
+        deriv, _ = _linear_rhs(model, 9)
+        for k in range(len(phi.t)):
+            expect = np.array(deriv(float(phi.t[k]), *phi.states[k].tolist()))
+            assert phi.slopes[k].tobytes() == expect.tobytes(), k
+        for k in range(len(phi.t) - 1):
+            assert np.array_equal(phi.at(phi.t[k]), phi.states[k]), k
 
 
 class TestZeroCounting:
@@ -117,6 +132,16 @@ class TestZeroCounting:
         assert len(zeros) == 1
         assert zeros[0].t == pytest.approx(1.5, abs=ZERO_TOL)
 
+    def test_close_pair_inside_one_step(self):
+        # phi = (t - 5)^2 - 0.02^2 keeps its sign at both ends of the step
+        # that holds both of its zeros; the interior samples find them
+        traj = integrate_third_order(TRIPLE_ZERO, (16.0 - 0.02**2, -8.0, 2.0), 8.0)
+        k = traj._segment(4.98)
+        assert traj._segment(5.02) == k
+        assert traj.states[k, 0] > 0.0 and traj.states[k + 1, 0] > 0.0
+        zeros = count_zeros(traj)
+        assert [z.t for z in zeros] == pytest.approx([4.98, 5.02], abs=ZERO_TOL)
+
     def test_count_grows_with_horizon(self):
         n_short = len(count_zeros(integrate_third_order(UNIT_R, (1.0, 0.0, 0.0), 40.0)))
         n_long = len(count_zeros(integrate_third_order(UNIT_R, (1.0, 0.0, 0.0), 100.0)))
@@ -140,6 +165,22 @@ class TestClassification:
     def test_growing_tail(self):
         m = build_model("0", "0", "-1")
         traj = integrate_third_order(m, (1.0, 1.0, 1.0), 20.0)
+        assert classify_lemma21(traj) == TYPE_3_2
+
+    @pytest.mark.parametrize("t_max", [100.0, 150.0, 400.0])
+    def test_growing_tail_over_many_decades(self, t_max):
+        # e^(t-1) spans 16 decades of the tail at t = 150 and 43 at t = 400;
+        # each sample is judged against its own node's jet
+        m = build_model("0", "0", "-1")
+        traj = integrate_third_order(m, (1.0, 1.0, 1.0), t_max)
+        assert classify_lemma21(traj) == TYPE_3_2
+
+    def test_tail_read_between_nodes(self):
+        # steps of 5 leave two nodes in the tail; the samples are read
+        # between them, so the pattern is still seen
+        m = build_model("0", "0", "-1")
+        traj = integrate_third_order(m, (1.0, 1.0, 1.0), 20.0, OdeControls(h_max=5.0))
+        assert int(np.sum(traj.t >= 20.0 - 0.25 * 19.0)) < 8
         assert classify_lemma21(traj) == TYPE_3_2
 
     def test_oscillatory_tail(self):
@@ -218,17 +259,31 @@ class TestRenormalization:
         model = fx.build_ode_model()
         ctl = OdeControls(rel_tol=1e-8)
         tr_r = integrate_third_order(model, (1.0, 0.0, 0.0), 12.0, ctl)
-        # an escape bound turns rescaling off; exp(12^3 / 3) stays below it
-        tr_p = _dopri(_linear_rhs(model), model.t0, (1.0, 0.0, 0.0), 12.0, ctl, escape=1e300)
+        # an escape bound turns the frame off; exp(12^3 / 3) stays below it
+        deriv, _ = _linear_rhs(model)
+        tr_p = _dopri(deriv, model.t0, (1.0, 0.0, 0.0), 12.0, ctl, escape=1e300)
         assert tr_r.status == COMPLETED
         assert tr_p.status == COMPLETED
         assert tr_r.log_scale[-1] > 100.0
         z_r = [z.t for z in count_zeros(tr_r)]
         z_p = [z.t for z in count_zeros(tr_p)]
         assert len(z_r) == len(z_p)
-        assert np.max(np.abs(np.asarray(z_r) - np.asarray(z_p))) < 1e-7
-        # before the first rescale the stored samples are the true values
-        assert tr_r.at(5.0)[0] == pytest.approx(tr_p.at(5.0)[0], rel=1e-9)
+        # the frame takes steps of its own, so the two runs no longer agree
+        # step for step: each is held on its own to a DOP853 reference, with
+        # the 1e-6 this file allows between solves on different steps
+        integrate = pytest.importorskip("scipy.integrate")
+        want = _scipy_zeros(model, (1.0, 0.0, 0.0), 12.0)
+        ref = integrate.solve_ivp(
+            lambda t, y: deriv(t, *y), (model.t0, 5.0), (1.0, 0.0, 0.0), method="DOP853",
+            rtol=1e-13, atol=1e-300, first_step=1e-3,
+        )
+        jet = ref.y[:, -1]
+        for tr, z in ((tr_r, z_r), (tr_p, z_p)):
+            assert len(z) == len(want)
+            assert np.max(np.abs(np.asarray(z) - np.asarray(want))) <= 1e-6
+            # the stored values are divided by exp(log_scale)
+            got = tr.at(5.0) * math.exp(float(tr.log_scale[tr._segment(5.0)]))
+            assert np.max(np.abs(got - jet)) <= 1e-6 * np.max(np.abs(jet))
 
     def test_zero_count_stable_across_tolerance(self):
         fx = get_fixture("example31")
@@ -289,8 +344,10 @@ class TestFundamentalMatrix:
         controls = OdeControls()
         report = oscillation_report(model, t_max, n_random=2, seed=3, controls=controls)
         assert len(report.solutions) == 5
+        deriv, _ = _linear_rhs(model)
         for s in report.solutions:
-            traj = _dopri(_linear_rhs(model), model.t0, s.initial, t_max, controls)
+            # the plain loop, outside the frame; no solution here passes 1e300
+            traj = _dopri(deriv, model.t0, s.initial, t_max, controls, escape=1e300)
             zeros = count_zeros(traj)
             assert s.zero_count == len(zeros), s.label
             assert s.classification == classify_lemma21(traj, zeros=zeros), s.label
@@ -325,7 +382,7 @@ class TestFundamentalMatrix:
         t_max = 12.0
         phi = integrate_third_order(model, np.eye(3), t_max)
         assert phi.log_scale[-1] > 0.0  # the comparison covers a rescale
-        deriv = _linear_rhs(model, 9)
+        deriv, _ = _linear_rhs(model, 9)
         ts = [2.0, 6.0, 9.5, 12.0]
         ref = integrate.solve_ivp(
             lambda t, y: deriv(t, *y), (model.t0, t_max), np.eye(3).ravel(), method="DOP853",
@@ -341,3 +398,93 @@ class TestFundamentalMatrix:
     def test_initial_of_another_width_rejected(self):
         with pytest.raises(ValueError, match="3x3"):
             integrate_third_order(UNIT_R, (1.0, 0.0), 5.0)
+
+
+def _scipy_zeros(model, initial, t_max):
+    """Zeros of phi by scipy's DOP853 at rtol 1e-12, located by its event
+    search and restarted from the rescaled state whenever the state passes
+    1e100, so that exp(t^3 / 3) growth stays in range."""
+    integrate = pytest.importorskip("scipy.integrate")
+    p_at, q_at, r_at = model.p_at, model.q_at, model.r_at
+
+    def rhs(t, y):
+        return [y[1], y[2], -(p_at(t) * y[2] + q_at(t) * y[1] + r_at(t) * y[0])]
+
+    def crossing(t, y):
+        return y[0]
+
+    def overflow(t, y):
+        return max(abs(y[0]), abs(y[1]), abs(y[2])) - 1e100
+
+    overflow.terminal = True
+    t, y, zeros = model.t0, np.asarray(initial, dtype=float), []
+    while t < t_max:
+        sol = integrate.solve_ivp(
+            rhs, (t, t_max), y / np.max(np.abs(y)), method="DOP853", rtol=1e-12, atol=1e-300,
+            first_step=min(1e-3, t_max - t), events=(crossing, overflow),
+        )
+        assert sol.success
+        zeros.extend(sol.t_events[0].tolist())
+        t, y = float(sol.t[-1]), sol.y[:, -1]
+    return zeros
+
+
+def _sweep_combination():
+    """The one initial state `sweep` integrates at its default seed."""
+    v = np.random.default_rng(0).normal(size=3)
+    return tuple(float(x) for x in v / np.linalg.norm(v))
+
+
+class TestMovingFrame:
+    """The linear system is stepped as psi = exp(-M) phi with M growing at
+    the largest real part of the frozen cubic's roots; its zeros, its step
+    counts and its coefficient calls."""
+
+    @pytest.mark.parametrize(
+        "model, initial, t_max",
+        [
+            (get_fixture("example31").build_ode_model(), _sweep_combination(), 50.0),
+            (build_model("0", "0", "-1"), (1.0001, -0.4999, -0.4999), 400.0),
+        ],
+        ids=["example31", "growth"],
+    )
+    def test_zeros_match_scipy_dop853(self, model, initial, t_max):
+        traj = integrate_third_order(model, initial, t_max)
+        assert traj.status == COMPLETED
+        assert traj.log_scale[-1] > 390.0  # the log scale, not the state, carries the growth
+        want = _scipy_zeros(model, initial, t_max)
+        got = [z.t for z in count_zeros(traj)]
+        assert len(got) == len(want) > 0
+        assert abs(got[-1] - want[-1]) <= 1e-7
+
+    def test_attempted_step_ceilings(self):
+        phi = integrate_third_order(get_fixture("example31").build_ode_model(), np.eye(3), 12.0)
+        assert phi.stats.accepted + phi.stats.rejected <= 2300
+        lazer = build_model("0", "-3*t^2", "b*t^3", params={"b": 1.25})
+        traj = integrate_third_order(lazer, _sweep_combination(), 20.0)
+        assert traj.stats.accepted + traj.stats.rejected <= 1600
+
+    @pytest.mark.parametrize("initial", [(1.0, 0.0, 0.0), np.eye(3)], ids=["width3", "width9"])
+    def test_one_coefficient_call_per_stage(self, initial):
+        # the rate at each node comes from the p, q, r of the FSAL stage
+        model = get_fixture("example31").build_ode_model()
+        calls = [0]
+        p_at = model.p_at
+
+        def counted(t):
+            calls[0] += 1
+            return p_at(t)
+
+        traj = integrate_third_order(replace(model, p_at=counted), initial, 12.0)
+        st = traj.stats
+        assert st.rejected > 0
+        assert calls[0] == 1 + 6 * (st.accepted + st.rejected)
+
+    def test_rate_matches_numpy_roots(self):
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 1.0, 1e3):
+            for p, q, r in rng.normal(size=(300, 3)) * np.array([scale, scale**2, scale**3]):
+                want = max(np.roots([1.0, p, q, r]).real)
+                assert _rate(p, q, r) == pytest.approx(want, rel=1e-9, abs=1e-9 * scale)
+        assert _rate(3.0, 3.0, 1.0) == -1.0  # the triple root -1
+        assert _rate(0.0, 0.0, 0.0) == 0.0
