@@ -31,7 +31,7 @@ from .coeffs import p_minus
 from .expr import compile_fn  # noqa: F401  -- perfbench's tracer test patches and restores cli.compile_fn
 from .fixtures import FIXTURES, Fixture, get_fixture
 from .kamenev import LimsupPolicy, TheoremReport, theorem_verdict
-from .ode import OdeControls, count_zeros, integrate_third_order, oscillation_report
+from .ode import MIN_ZEROS, OdeControls, count_zeros, integrate_third_order, oscillation_report
 from .riccati import AS_WRITTEN, LINEARIZED, RiccatiProblem, comparison_check
 
 _THEOREM_KEYS = {"lazer": "LAZER", "thm31": "THM31", "thm32": "THM32", "thm33": "THM33"}
@@ -217,8 +217,7 @@ def cmd_verify(args) -> int:
         feature_windows=fixture.feature_windows(args.tmax),
     )
     report = oscillation_report(
-        fixture.build_ode_model(), args.tmax, n_random=args.combos, seed=args.seed, controls=controls,
-        min_zeros=args.min_zeros,
+        fixture.build_ode_model(), args.tmax, n_random=args.combos, seed=args.seed, controls=controls
     )
     payload = {
         "config": _config(
@@ -228,7 +227,7 @@ def cmd_verify(args) -> int:
                 "t_max": args.tmax,
                 "combos": args.combos,
                 "seed": args.seed,
-                "min_zeros": args.min_zeros,
+                "min_zeros": MIN_ZEROS,
                 "controls": controls.as_dict(),
             }
         ),
@@ -451,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tmax", type=float, default=100.0)
     verify.add_argument("--combos", type=int, default=5, help="random unit-vector initial states")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--min-zeros", type=int, default=5)
     verify.add_argument("--rel-tol", type=float, default=1e-9)
     verify.add_argument("--abs-tol", type=float, default=1e-12)
     verify.add_argument("--h-max", type=float, default=0.1)

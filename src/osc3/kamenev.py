@@ -7,11 +7,13 @@ liminf statement about S is then replaced by a documented finite-horizon
 classification (DIVERGES / BOUNDED / INCONCLUSIVE) with its evidence
 attached, since no finite computation can decide a limsup.
 
-Every series, running integral (m = 0) or weighted average (integer or
-not), is int_{t0}^{t_k} (t_k - tau)^m g(tau) dtau at every grid point t_k,
-and each costs one call of the Gauss-Kronrod panel engine,
-``quad.integrate_adaptive(..., power=m)``: one pass over [t0, t_end]
-instead of one quadrature per grid point.  The tests hold it to an outside
+Every criterion, running integral (m = 0) or weighted average (integer or
+not), is a sum of terms c int_{t0}^{t_k} (t_k - tau)^m g(tau) dtau at every
+grid point t_k (a Kamenev average, Kamenev 1978), and ``_series`` is the one
+place that computes it: one call of the Gauss-Kronrod panel engine,
+``quad.integrate_adaptive(..., power=m)``, per term, each one pass over
+[t0, t_end] instead of one quadrature per grid point, and one ``SHORTFALL``
+note when any pass stops at the depth cap.  The tests hold it to an outside
 reference quadrature at every grid point.
 """
 
@@ -51,6 +53,7 @@ DOES_NOT_APPLY = "DOES_NOT_APPLY"
 
 LAZER_CONST = 2.0 / (3.0 * math.sqrt(3.0))
 TOL = 1e-9  # quadrature tolerance of every criterion
+SHORTFALL = "quadrature depth cap reached"  # the note of a pass that stopped short
 HORIZON_33F = 1e4  # check_33f integrates |p1| out to this t
 
 
@@ -188,10 +191,6 @@ class CriterionTrajectory:
     verdict: Verdict
     warnings: list = field(default_factory=list)
 
-    @property
-    def samples(self) -> list:
-        return [(float(a), float(b)) for a, b in zip(self.t, self.values)]
-
 
 def kamenev_transform(f: Callable[[float], float], T: float, alpha: float, t: float, *, tol: float = 1e-9) -> float:
     """Weighted average (alpha(alpha+1)/t^(alpha+1)) int_T^t (t-tau)^(alpha-1) f dtau.
@@ -207,7 +206,7 @@ def kamenev_transform(f: Callable[[float], float], T: float, alpha: float, t: fl
         raise ValueError(f"t={t!r} must exceed T={T!r}")
     res = integrate_adaptive(f, T, [t], tol, power=alpha - 1.0)
     if res.warning:
-        _warnings.warn(f"quadrature depth cap reached in kamenev_transform at t={t:.6g}", RuntimeWarning)
+        _warnings.warn(f"{SHORTFALL} in kamenev_transform at t={t:.6g}", RuntimeWarning)
     return alpha * (alpha + 1.0) / t ** (alpha + 1.0) * float(res.value[0])
 
 
@@ -217,10 +216,16 @@ def _as_base(model_or_split) -> CoefficientModel:
     return model_or_split
 
 
-def _d_fn_for(model: CoefficientModel, d_fn) -> Callable[[float], float]:
-    if d_fn is not None:
-        return d_fn
-    return lambda t: d_closed(model, t)
+def _series(model: CoefficientModel, pts: np.ndarray, terms, breakpoints) -> tuple:
+    """The sum over ``terms`` (c, g, m) of c int_{t0}^{t_k} (t_k - tau)^m g(tau)
+    dtau at every grid point t_k, one engine pass per term in order, and
+    its warnings: ``[SHORTFALL]`` when any pass stopped at the depth cap."""
+    if pts[0] < model.t0:
+        raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
+    passes = [integrate_adaptive(g, model.t0, pts, TOL, breakpoints=breakpoints, power=m) for _, g, m in terms]
+    parts = [c * res.value for (c, _, _), res in zip(terms, passes)]
+    short = any(res.warning for res in passes)
+    return sum(parts[1:], parts[0]), [SHORTFALL] if short else []
 
 
 def cumulative_D(
@@ -240,16 +245,10 @@ def cumulative_D(
     if criterion_id not in (THM32C, THM33E):
         raise ValueError(f"criterion_id must be {THM32C} or {THM33E}, got {criterion_id!r}")
     pts = grid.points()
-    if pts[0] < model.t0:
-        raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
-    d = _d_fn_for(model, d_fn)
-    res = integrate_adaptive(d, model.t0, pts, TOL, breakpoints=breakpoints, power=0)
-    warnings = ["quadrature depth cap reached"] if res.warning else []
-    if criterion_id == THM32C:
-        verdict = classify_limsup(res.value, policy)
-    else:
-        verdict = classify_bounded_below(res.value, policy)
-    return CriterionTrajectory(criterion_id, None, pts, res.value, verdict, warnings)
+    d = d_fn or (lambda t: d_closed(model, t))
+    vals, warnings = _series(model, pts, [(1.0, d, 0)], breakpoints)
+    classify = classify_limsup if criterion_id == THM32C else classify_bounded_below
+    return CriterionTrajectory(criterion_id, None, pts, vals, classify(vals, policy), warnings)
 
 
 def criterion_kamenev(
@@ -281,33 +280,19 @@ def criterion_kamenev(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     pts = grid.points()
-    if pts[0] < model.t0:
-        raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
-    a0 = model.t0
-    d = _d_fn_for(model, d_fn)
-    warnings = []
-    if mode == THM33G:
-        res = integrate_adaptive(d, a0, pts, TOL, breakpoints=breakpoints, power=alpha)
-        vals = res.value / pts ** alpha
-        warn = res.warning
-    else:
-        d_part = integrate_adaptive(d, a0, pts, TOL, breakpoints=breakpoints, power=alpha + 1.0)
-        if mode == THM31B:
-            def pen(tau):
-                v = p_minus(model, tau)
-                return v * v
+    d = d_fn or (lambda t: d_closed(model, t))
+    power = alpha if mode == THM33G else alpha + 1.0
+    terms = [(1.0, d, power)]
+    if mode == THM31B:
+        def pen_squared(tau):
+            v = p_minus(model, tau)
+            return v * v
 
-            coeff = (alpha + 1.0) / 9.0
-        else:
-            def pen(tau):
-                return p_minus(model, tau)
-
-            coeff = alpha + 1.0
-        p_part = integrate_adaptive(pen, a0, pts, TOL, breakpoints=breakpoints, power=alpha)
-        vals = (d_part.value - coeff * p_part.value) / pts ** (alpha + 1.0)
-        warn = d_part.warning or p_part.warning
-    if warn:
-        warnings.append("quadrature depth cap reached")
+        terms.append((-power / 9.0, pen_squared, alpha))
+    elif mode == THM32D:
+        terms.append((-power, lambda tau: p_minus(model, tau), alpha))
+    vals, warnings = _series(model, pts, terms, breakpoints)
+    vals = vals / pts ** power
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{mode} produced non-finite samples")
     verdict = classify_limsup(vals, policy)
@@ -340,14 +325,8 @@ def criterion_lazer(
     ``p_zero`` and (a) conditions.
     """
     pts = grid.points()
-    if pts[0] < model.t0:
-        raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
-    warnings = []
-    res = integrate_adaptive(lazer_integrand(model), model.t0, pts, TOL, breakpoints=breakpoints, power=0)
-    if res.warning:
-        warnings.append("quadrature depth cap reached")
-    verdict = classify_limsup(res.value, policy)
-    return CriterionTrajectory(LAZER, None, pts, res.value, verdict, warnings)
+    vals, warnings = _series(model, pts, [(1.0, lazer_integrand(model), 0)], breakpoints)
+    return CriterionTrajectory(LAZER, None, pts, vals, classify_limsup(vals, policy), warnings)
 
 
 @dataclass
@@ -359,6 +338,7 @@ class Check33fReport:
     bounded_ok: bool
     sup_by_decade: list
     horizon: float
+    warnings: list
 
 
 def check_33f(
@@ -380,13 +360,8 @@ def check_33f(
     ratio = 1.15
     count = max(int(math.ceil(math.log(horizon / t0) / math.log(ratio))) + 1, 16)
     grid = GeometricGrid(t0, ratio, count)
-    pts = grid.points()
-
-    def abs_p1(t: float) -> float:
-        return abs(split.p1_at(t))
-
-    res = integrate_adaptive(abs_p1, model.t0, pts, TOL, breakpoints=breakpoints, power=0)
-    verdict = classify_limsup(res.value, policy)
+    vals, warnings = _series(model, grid.points(), [(1.0, lambda t: abs(split.p1_at(t)), 0)], breakpoints)
+    verdict = classify_limsup(vals, policy)
     integrable_ok = verdict.kind == BOUNDED
 
     decades = max(int(math.ceil(math.log10(horizon / t0))), 1)
@@ -408,10 +383,11 @@ def check_33f(
         integrable_ok and bounded_ok,
         integrable_ok,
         verdict,
-        float(res.value[-1]),
+        float(vals[-1]),
         bounded_ok,
         sups,
         float(horizon),
+        warnings,
     )
 
 
@@ -510,7 +486,8 @@ def theorem_verdict(
         run("d", criterion_kamenev(model, alpha, THM32D, grid, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
     elif theorem == "THM33":
         run("e", cumulative_D(model, grid, THM33E, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
-        conditions["f"] = check_33f(split, breakpoints=breakpoints, policy=policy)
+        f = conditions["f"] = check_33f(split, breakpoints=breakpoints, policy=policy)
+        warnings.extend(f"(f) {w}" for w in f.warnings)
         run("g", criterion_kamenev(model, alpha, THM33G, grid, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
     else:
         conditions["p_zero"] = _p_zero_check(model)

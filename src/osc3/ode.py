@@ -68,6 +68,7 @@ BLOW_UP = "blow_up"
 STEP_UNDERFLOW = "step_underflow"
 ZERO_TOL = 1e-9  # count_zeros refines each zero to a bracket this wide
 ZERO_SAMPLES = 7  # count_zeros also reads each step at this many interior points
+MIN_ZEROS = 5  # classify_lemma21 calls a solution oscillatory from this many zeros
 RENORM_THRESHOLD = 1e150  # the linear system's state is rescaled past this norm
 MAX_STEPS = 10**6  # _dopri refuses a span longer than this many steps of h_max
 
@@ -226,15 +227,22 @@ class Trajectory:
             t0, t1, self.states[k], self.slopes[k], self.states[k + 1] * ratio, self.slopes[k + 1] * ratio, t
         )
 
-    def _jets(self, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """The rows (P, P', P'') of ``at`` at each ts[i] in step ks[i], in
-        the scale of node ks[i], for a state of width 3 or 9."""
+    def _step_polynomials(self, ks: np.ndarray) -> tuple:
+        """The coefficients c0..c7 of ``_septic`` on each step ks[i], one
+        column per solution, in the scale of node ks[i], and the step
+        lengths h, for a state of width 3 or 9."""
         n = self.states.shape[1] // 3
         ratio = np.exp(self.log_scale[ks + 1] - self.log_scale[ks])[:, None]
         y0, y1 = self.states[ks], self.states[ks + 1] * ratio
         f3, g3 = self.slopes[ks, 2 * n:], self.slopes[ks + 1, 2 * n:] * ratio
         h = (self.t[ks + 1] - self.t[ks])[:, None]
         c = _septic(h, y0[:, :n], y0[:, n:2 * n], y0[:, 2 * n:], f3, y1[:, :n], y1[:, n:2 * n], y1[:, 2 * n:], g3)
+        return c, h
+
+    def _jets(self, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """The rows (P, P', P'') of ``at`` at each ts[i] in step ks[i], in
+        the scale of node ks[i], for a state of width 3 or 9."""
+        c, _ = self._step_polynomials(ks)
         dc = [j * cj for j, cj in enumerate(c)][1:]
         ddc = [j * cj for j, cj in enumerate(dc)][1:]
         tau = (ts - self.t[ks])[:, None]
@@ -576,11 +584,7 @@ def count_zeros(traj: Trajectory) -> list:
     if len(ts) > 1:
         # the factor to the scale of node k is positive, so it cannot decide
         # a sign; signs are compared, not products, which can underflow
-        ratio = np.exp(np.diff(traj.log_scale))[:, None]
-        y0, y1 = traj.states[:-1], traj.states[1:] * ratio
-        d3 = traj.slopes[:, 2:]
-        h = np.diff(ts)[:, None]
-        c = _septic(h, y0[:, :1], y0[:, 1:2], y0[:, 2:], d3[:-1], y1[:, :1], y1[:, 1:2], y1[:, 2:], d3[1:] * ratio)
+        c, h = traj._step_polynomials(np.arange(len(ts) - 1))
         tau = h * (np.arange(1, ZERO_SAMPLES + 1) / (ZERO_SAMPLES + 1))
         samples = np.hstack([phi[:-1, None], _horner(c, tau), phi[1:, None]])
         tau = np.hstack([np.zeros_like(h), tau, h])
@@ -621,15 +625,10 @@ OSCILLATORY_EVIDENCE = "OSCILLATORY_EVIDENCE"
 UNCLASSIFIED = "UNCLASSIFIED"
 
 
-def classify_lemma21(
-    traj: Trajectory,
-    *,
-    min_zeros: int = 5,
-    zeros: list | None = None,
-) -> str:
+def classify_lemma21(traj: Trajectory, *, zeros: list | None = None) -> str:
     """Classify the tail behaviour of one nontrivial solution.
 
-    OSCILLATORY_EVIDENCE: at least ``min_zeros`` sign changes overall and the
+    OSCILLATORY_EVIDENCE: at least ``MIN_ZEROS`` sign changes overall and the
     last one falls in the final decade of the (possibly truncated) span.
     TYPE_2_1: tail has phi*phi' <= 0 with sgn phi = sgn phi'' != sgn phi' and
     |phi'|, |phi''| shrinking -- the decaying monotone pattern.
@@ -647,7 +646,7 @@ def classify_lemma21(
     if zeros is None:
         zeros = count_zeros(traj)
     t_end = traj.t_end
-    if len(zeros) >= min_zeros and zeros[-1].t > t_end / 10.0:
+    if len(zeros) >= MIN_ZEROS and zeros[-1].t > t_end / 10.0:
         return OSCILLATORY_EVIDENCE
     if len(traj.t) < 2:
         return UNCLASSIFIED
@@ -705,8 +704,6 @@ def oscillation_report(
     n_random: int = 5,
     seed: int = 0,
     controls: OdeControls | None = None,
-    *,
-    min_zeros: int = 5,
 ) -> OscillationReport:
     """Classify the fundamental basis plus seeded random unit combinations;
     evidence is declared if any solution oscillates.  The equation is solved
@@ -725,7 +722,7 @@ def oscillation_report(
     for label, init in runs:
         traj = phi.solution(init)
         zeros = count_zeros(traj)
-        cls = classify_lemma21(traj, zeros=zeros, min_zeros=min_zeros)
+        cls = classify_lemma21(traj, zeros=zeros)
         summaries.append(
             SolutionSummary(
                 label,

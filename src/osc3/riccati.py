@@ -137,7 +137,6 @@ def riccati2_residual(
         if len(idx) < MIN_RESIDUAL_POINTS:
             raise ValueError(f"window [{lo}, {hi}] holds only {len(idx)} samples")
         sel = phi[idx]
-        tiny = 1e-300 + 0.0 * np.max(np.abs(sel))
         if np.any(sel == 0.0) or np.any(np.sign(sel) != np.sign(sel[-1])):
             k = idx[int(np.argmin(np.abs(sel)))]
             raise ValueError(f"phi vanishes near t={ts[k]:.6g} inside the requested window")

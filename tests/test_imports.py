@@ -1,7 +1,8 @@
 """Every top-level import in src/osc3 is used by the module that makes it,
 every module-level private name is read somewhere in src/osc3, no module
-imports scipy, which only the tests use, as an outside reference, and one
-Dormand-Prince tableau serves every state width.
+imports scipy, which only the tests use, as an outside reference, one
+Dormand-Prince tableau serves every state width, and every Kamenev series
+reaches the quadrature engine through one helper.
 
 An import counts as used when it is read anywhere else in the module (type
 annotations included) or listed in ``__all__``.  ``from __future__``
@@ -146,3 +147,33 @@ def test_one_dormand_prince_tableau():
 def test_checker_sees_a_second_tableau():
     sources = {"ode.py": "e5 = -17253.0 / 339200.0\n", "riccati.py": "E5 = -17253.0/339200.0\n"}
     assert tableau_copies(sources) == 2
+
+
+def engine_readers(source: str) -> list:
+    """Top-level functions and classes that read ``integrate_adaptive``, as a
+    name or an attribute, so a call through an alias counts too."""
+    readers = []
+    for node in ast.parse(source).body:
+        if any(
+            (isinstance(sub, ast.Name) and sub.id == "integrate_adaptive" and isinstance(sub.ctx, ast.Load))
+            or (isinstance(sub, ast.Attribute) and sub.attr == "integrate_adaptive")
+            for sub in ast.walk(node)
+        ):
+            readers.append(getattr(node, "name", f"line {node.lineno}"))
+    return sorted(readers)
+
+
+def test_kamenev_reaches_the_engine_through_one_helper():
+    with open(os.path.join(SRC, "kamenev.py"), encoding="utf-8") as f:
+        assert engine_readers(f.read()) == ["_series", "kamenev_transform"]
+
+
+def test_checker_sees_a_second_engine_caller():
+    source = (
+        "from .quad import integrate_adaptive\nfrom . import quad\n"
+        "def _series(f):\n    return integrate_adaptive(f, 0.0, [1.0])\n"
+        "def check(f):\n    run = quad.integrate_adaptive\n    return run(f)\n"
+        "class C:\n    def m(self, g):\n        return integrate_adaptive(g)\n"
+        "ENGINE = integrate_adaptive\n"
+    )
+    assert engine_readers(source) == ["C", "_series", "check", "line 11"]

@@ -15,6 +15,7 @@ from osc3.kamenev import (
     DOES_NOT_APPLY,
     INCONCLUSIVE,
     LAZER_CONST,
+    SHORTFALL,
     THM31B,
     THM32C,
     THM32D,
@@ -282,6 +283,35 @@ class TestCheck33f:
         sp = fx.build_split(fx.build())
         rep = check_33f(sp, 200.0, breakpoints=fx.breakpoints(200.0))
         assert rep.holds
+
+
+class TestShortfall:
+    """With the depth cap at 0 every pass over these oscillating bumps stops
+    short, and every condition computed by a series names it."""
+
+    BUMPS = "abs(sin(3*t))*exp(-t)"
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        import osc3.quad
+
+        monkeypatch.setattr(osc3.quad, "MAX_DEPTH", 0)
+        # r is not constant, so the Lazer integral is not exact on one panel
+        m = build_model(f"-{self.BUMPS}", "0", f"1 + {self.BUMPS}")
+        return make_split(m, f"-{self.BUMPS}", "0")
+
+    def test_check_33f_reports_its_shortfall(self, split):
+        rep = check_33f(split)
+        assert rep.holds
+        assert rep.warnings == [SHORTFALL]
+
+    @pytest.mark.parametrize(
+        "theorem, letters",
+        [("THM31", ["b"]), ("THM32", ["c", "d"]), ("THM33", ["e", "f", "g"]), ("LAZER", ["integral"])],
+    )
+    def test_every_series_condition_reports_its_shortfall(self, split, theorem, letters):
+        rep = theorem_verdict(split, theorem, grid=GeometricGrid(1.0, 1.15, 40))
+        assert rep.warnings == [f"({letter}) {SHORTFALL}" for letter in letters]
 
 
 class TestTheoremVerdict:
