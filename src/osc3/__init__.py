@@ -38,7 +38,6 @@ from .expr import (
 )
 from .fixtures import FIXTURES, Fixture, get_fixture
 from .kamenev import (
-    LAZER_CONST,
     GeometricGrid,
     LimsupPolicy,
     TheoremReport,
@@ -50,7 +49,6 @@ from .kamenev import (
     criterion_lazer,
     cumulative_D,
     kamenev_transform,
-    lazer_integrand,
     theorem_verdict,
 )
 from .ode import (
@@ -81,7 +79,6 @@ __all__ = [
     "__version__",
     "AS_WRITTEN",
     "LINEARIZED",
-    "LAZER_CONST",
     "FIXTURES",
     "CoefficientModel",
     "ComparisonPreconditionError",
@@ -129,7 +126,6 @@ __all__ = [
     "integrate_adaptive",
     "integrate_third_order",
     "kamenev_transform",
-    "lazer_integrand",
     "make_split",
     "oscillation_report",
     "p_minus",

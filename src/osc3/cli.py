@@ -162,8 +162,6 @@ def _config(fixture: Fixture, extra: dict) -> dict:
 
 def _theorem_reports(fixture: Fixture, model, theorems, grid, policy) -> list:
     """One report per theorem; the single dispatch behind `check` and `sweep`."""
-    d_fn = fixture.d_fn(model.params)
-    breakpoints = fixture.breakpoints(grid.t_end)
     return [
         theorem_verdict(
             fixture.build_split(model) if theorem == "THM33" else model,
@@ -171,8 +169,6 @@ def _theorem_reports(fixture: Fixture, model, theorems, grid, policy) -> list:
             alpha=fixture.alpha_for(theorem),
             grid=grid,
             policy=policy,
-            d_fn=d_fn,
-            breakpoints=breakpoints,
         )
         for theorem in theorems
     ]
@@ -210,15 +206,10 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     fixture = _fixture(args, _parse_params(args.param))
-    controls = OdeControls(
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        h_max=args.h_max,
-        feature_windows=fixture.feature_windows(args.tmax),
-    )
-    report = oscillation_report(
-        fixture.build_ode_model(), args.tmax, n_random=args.combos, seed=args.seed, controls=controls
-    )
+    controls = OdeControls(rel_tol=args.rel_tol, abs_tol=args.abs_tol, h_max=args.h_max)
+    model = fixture.build_ode_model()
+    report = oscillation_report(model, args.tmax, n_random=args.combos, seed=args.seed, controls=controls)
+    windows = model.windows(args.tmax) if model.windows else ()
     payload = {
         "config": _config(
             fixture,
@@ -228,7 +219,7 @@ def cmd_verify(args) -> int:
                 "combos": args.combos,
                 "seed": args.seed,
                 "min_zeros": MIN_ZEROS,
-                "controls": controls.as_dict(),
+                "controls": {**controls.as_dict(), "feature_windows": len(windows)},
             }
         ),
         "has_oscillatory_evidence": report.has_oscillatory_evidence,
@@ -271,8 +262,7 @@ def _sweep_point(payload):
     row = [rep.overall for rep in _theorem_reports(fixture, model, theorems, grid, policy)]
     # the zero count integrates the same equation as `verify`
     ode_model = fixture.build_ode_model(params) if fixture.ode_r_src else model
-    controls = OdeControls(feature_windows=fixture.feature_windows(tmax))
-    row.append(str(len(count_zeros(integrate_third_order(ode_model, combo, tmax, controls)))))
+    row.append(str(len(count_zeros(integrate_third_order(ode_model, combo, tmax)))))
     return row
 
 

@@ -1,8 +1,12 @@
 """Coefficient models for phi''' + p phi'' + q phi' + r phi = 0.
 
 A model bundles the three coefficient expressions, the symbolic derivative
-p', bound parameter values and the left endpoint t0.  On top of it live the
-pointwise quantities the averaged oscillation criteria consume:
+p', bound parameter values and the left endpoint t0, with the two facts
+about the equation that every consumer shares: its minimum function D
+(``d_at``: an override, or ``d_closed``) and the narrow active windows of
+its coefficients (``windows``), where quadrature panels split and integrator
+steps shorten.  On top of it live the pointwise quantities the averaged
+oscillation criteria consume:
 
 * ``p_minus``   -- the negative part min(p(t), 0);
 * ``cubic_g``   -- G(t, u) = u^3 + p u^2 + (q - p') u + r;
@@ -66,6 +70,9 @@ class CoefficientModel:
     q_at: Callable[[float], float] = field(repr=False, default=None)
     r_at: Callable[[float], float] = field(repr=False, default=None)
     p_prime_at: Callable[[float], float] = field(repr=False, default=None)
+    d_at: Callable[[float], float] = field(repr=False, default=None)  # the minimum function D
+    # t_end -> the narrow active windows [(lo, hi), ...] up to t_end, or None
+    windows: Callable[[float], list] | None = field(repr=False, default=None)
 
 
 def probe(
@@ -102,12 +109,16 @@ def build_model(
     r_src: str,
     params: Mapping[str, float] | None = None,
     t0: float = 1.0,
+    d_src: str | None = None,
+    windows: Callable[[float], list] | None = None,
 ) -> CoefficientModel:
     """Parse the three coefficient sources and differentiate p symbolically.
 
-    The four resulting expressions are probed on a jittered grid over
-    [t0, t0 + 1e4]; a non-finite parameter, a domain error or a non-finite
-    value is a ModelError.
+    ``d_src`` overrides the minimum function D, which is otherwise
+    ``d_closed``; ``windows`` maps t_end to the coefficients' narrow active
+    windows up to t_end.  The four resulting expressions and the override
+    are probed on a jittered grid over [t0, t0 + 1e4]; a non-finite
+    parameter, a domain error or a non-finite value is a ModelError.
     """
     if not math.isfinite(t0):
         raise ModelError(f"t0={t0} is not finite")
@@ -128,7 +139,13 @@ def build_model(
     model.q_at = expr.compile_fn(q, params)
     model.r_at = expr.compile_fn(r, params)
     model.p_prime_at = expr.compile_fn(p_prime, params)
-    probe({"p": model.p_at, "q": model.q_at, "r": model.r_at, "p'": model.p_prime_at}, model.t0)
+    fns = {"p": model.p_at, "q": model.q_at, "r": model.r_at, "p'": model.p_prime_at}
+    if d_src:
+        model.d_at = fns["D"] = expr.compile_fn(expr.parse(d_src, names), params)
+    else:
+        model.d_at = lambda t: d_closed(model, t)
+    model.windows = windows
+    probe(fns, model.t0)
     return model
 
 
@@ -251,16 +268,15 @@ def make_split(
     model: CoefficientModel,
     p1_src: str | None = None,
     p2_src: str | None = None,
-    windows: Sequence[tuple] = (),
 ) -> SplitModel:
     """Build and validate a split of p_-.
 
     Defaults to the trivial split p1 = 0, p2 = min(p, 0), which is valid
     whenever p_- itself is bounded.  Validation probes p1 and p2 like the
     coefficients, at SPLIT_N points and then at the midpoint of every
-    window (lo, hi) of ``windows`` whose midpoint is above lo in double
-    precision, so that a bump narrower than the probe spacing is not
-    missed.  It requires p1 <= 0, p2 <= 0 (tolerance 1e-12) and
+    window (lo, hi) of the model's up to t0 + PROBE_SPAN whose midpoint is
+    above lo in double precision, so that a bump narrower than the probe
+    spacing is not missed.  It requires p1 <= 0, p2 <= 0 (tolerance 1e-12) and
     p1 + p2 = p_- to a relative tolerance of 1e-9.
     """
     names = tuple(model.params)
@@ -276,6 +292,7 @@ def make_split(
     split = SplitModel(model, p1, p2)
     split.p1_at = expr.compile_fn(p1, model.params)
     split.p2_at = expr.compile_fn(p2, model.params)
+    windows = model.windows(model.t0 + PROBE_SPAN) if model.windows else ()
     midpoints = [mid for lo, hi in windows if (mid := 0.5 * (lo + hi)) > lo]
     for t, (v1, v2) in probe({"p1": split.p1_at, "p2": split.p2_at}, model.t0, SPLIT_N, midpoints):
         if v1 > 1e-12 or v2 > 1e-12:

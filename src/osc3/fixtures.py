@@ -3,9 +3,11 @@
 Each fixture bundles sources for p, q, r together with the extras a fair
 evaluation needs: the intended minimum-function override where the
 coefficients were engineered so that D collapses to a stated closed form,
-quadrature breakpoints and integrator step windows for bump trains, and
-per-theorem alpha choices.  The command line builds an unnamed fixture
-(name None) from raw sources, so every command works on one Fixture.
+the active windows of a bump train, and per-theorem alpha choices.  The
+override and the windows go into the model it builds, which hands them to
+the criteria, the split check and the integrator.  The command line builds
+an unnamed fixture (name None) from raw sources, so every command works on
+one Fixture.
 
 The `example31` fixture keeps two r sources.  The plain one drops the
 correction term that the engineered coefficients carry, so its honest
@@ -21,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .coeffs import PROBE_SPAN, CoefficientModel, SplitModel, build_model, make_split, probe
-from .expr import compile_fn, parse
+from .coeffs import CoefficientModel, SplitModel, build_model, make_split
 from .kamenev import GeometricGrid
 
 # u achieving the interior minimum of the cubic, for p = -M t^gamma, q = 0
@@ -57,7 +58,7 @@ class Fixture:
     grid_count: int = 120
     theorems: tuple = ("LAZER", "THM31", "THM32", "THM33")
     ode_r_src: str | None = None
-    has_bumps: bool = False
+    windows: Callable[[float], list] | None = None  # t_end -> narrow active windows up to t_end
 
     def params_with(self, overrides: dict | None = None) -> dict:
         params = dict(self.defaults)
@@ -68,24 +69,19 @@ class Fixture:
         return params
 
     def build(self, overrides: dict | None = None) -> CoefficientModel:
-        return build_model(self.p_src, self.q_src, self.r_src, self.params_with(overrides), t0=self.t0)
+        return build_model(self.p_src, self.q_src, self.r_src, self.params_with(overrides), t0=self.t0,
+                           d_src=self.d_src, windows=self.windows)
 
     def build_ode_model(self, overrides: dict | None = None) -> CoefficientModel:
+        """The model the integrator steps: the corrected r where the fixture
+        has one.  The integrator reads no D, so no override is compiled."""
         r_src = self.ode_r_src or self.r_src
-        return build_model(self.p_src, self.q_src, r_src, self.params_with(overrides), t0=self.t0)
+        return build_model(self.p_src, self.q_src, r_src, self.params_with(overrides), t0=self.t0,
+                           windows=self.windows)
 
     def build_split(self, model: CoefficientModel) -> SplitModel:
         p1, p2 = self.split_srcs or (None, None)
-        windows = self.feature_windows(model.t0 + PROBE_SPAN) or ()
-        return make_split(model, p1_src=p1, p2_src=p2, windows=windows)
-
-    def d_fn(self, overrides: dict | None = None) -> Callable[[float], float] | None:
-        if not self.d_src:
-            return None
-        params = self.params_with(overrides)
-        fn = compile_fn(parse(self.d_src, param_names=tuple(params)), params)
-        probe({"D": fn}, self.t0)
-        return fn
+        return make_split(model, p1_src=p1, p2_src=p2)
 
     def grid(self) -> GeometricGrid:
         return GeometricGrid(self.t0, self.grid_ratio, self.grid_count)
@@ -96,16 +92,6 @@ class Fixture:
         if theorem == "LAZER":
             return None
         return self.alpha
-
-    def breakpoints(self, t_end: float) -> list | None:
-        if not self.has_bumps:
-            return None
-        return [edge for pair in bump_intervals(t_end) for edge in pair]
-
-    def feature_windows(self, t_end: float) -> list | None:
-        if not self.has_bumps:
-            return None
-        return bump_intervals(t_end)
 
 
 def bump_intervals(t_end: float) -> list:
@@ -155,7 +141,7 @@ EXAMPLE32 = Fixture(
     alpha33=2.0,
     grid_count=61,
     theorems=("THM31", "THM33"),
-    has_bumps=True,
+    windows=bump_intervals,
 )
 
 FIXTURES = {f.name: f for f in (LAZER_FIXTURE, EXAMPLE31, EXAMPLE32)}

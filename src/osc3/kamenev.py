@@ -12,9 +12,12 @@ not), is a sum of terms c int_{t0}^{t_k} (t_k - tau)^m g(tau) dtau at every
 grid point t_k (a Kamenev average, Kamenev 1978), and ``_series`` is the one
 place that computes it: one call of the Gauss-Kronrod panel engine,
 ``quad.integrate_adaptive(..., power=m)``, per term, each one pass over
-[t0, t_end] instead of one quadrature per grid point, and one ``SHORTFALL``
-note when any pass stops at the depth cap.  The tests hold it to an outside
-reference quadrature at every grid point.
+[t0, t_end] split at the edges of the model's windows up to t_end instead of
+one quadrature per grid point, and one ``SHORTFALL`` note when any pass
+stops at the depth cap.  The tests hold it to an outside reference
+quadrature at every grid point.  The criteria integrate the model's own D,
+``model.d_at``; Lazer's criterion is their p = 0 case and integrates
+``d_closed``, which there is r - (2/(3 sqrt 3)) (-q)^(3/2).
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 APPLIES = "APPLIES"
 DOES_NOT_APPLY = "DOES_NOT_APPLY"
 
-LAZER_CONST = 2.0 / (3.0 * math.sqrt(3.0))
 TOL = 1e-9  # quadrature tolerance of every criterion
 SHORTFALL = "quadrature depth cap reached"  # the note of a pass that stopped short
 HORIZON_33F = 1e4  # check_33f integrates |p1| out to this t
@@ -216,13 +218,15 @@ def _as_base(model_or_split) -> CoefficientModel:
     return model_or_split
 
 
-def _series(model: CoefficientModel, pts: np.ndarray, terms, breakpoints) -> tuple:
+def _series(model: CoefficientModel, pts: np.ndarray, terms) -> tuple:
     """The sum over ``terms`` (c, g, m) of c int_{t0}^{t_k} (t_k - tau)^m g(tau)
     dtau at every grid point t_k, one engine pass per term in order, and
-    its warnings: ``[SHORTFALL]`` when any pass stopped at the depth cap."""
+    its warnings: ``[SHORTFALL]`` when any pass stopped at the depth cap.
+    Panels split at the edges of the model's windows up to the last t_k."""
     if pts[0] < model.t0:
         raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
-    passes = [integrate_adaptive(g, model.t0, pts, TOL, breakpoints=breakpoints, power=m) for _, g, m in terms]
+    edges = [x for pair in model.windows(float(pts[-1])) for x in pair] if model.windows else None
+    passes = [integrate_adaptive(g, model.t0, pts, TOL, breakpoints=edges, power=m) for _, g, m in terms]
     parts = [c * res.value for (c, _, _), res in zip(terms, passes)]
     short = any(res.warning for res in passes)
     return sum(parts[1:], parts[0]), [SHORTFALL] if short else []
@@ -233,8 +237,6 @@ def cumulative_D(
     grid: GeometricGrid,
     criterion_id: str = THM32C,
     *,
-    d_fn=None,
-    breakpoints=None,
     policy: LimsupPolicy | None = None,
 ) -> CriterionTrajectory:
     """Running integral S(t_k) = int_{t0}^{t_k} D, classified per criterion.
@@ -245,8 +247,7 @@ def cumulative_D(
     if criterion_id not in (THM32C, THM33E):
         raise ValueError(f"criterion_id must be {THM32C} or {THM33E}, got {criterion_id!r}")
     pts = grid.points()
-    d = d_fn or (lambda t: d_closed(model, t))
-    vals, warnings = _series(model, pts, [(1.0, d, 0)], breakpoints)
+    vals, warnings = _series(model, pts, [(1.0, model.d_at, 0)])
     classify = classify_limsup if criterion_id == THM32C else classify_bounded_below
     return CriterionTrajectory(criterion_id, None, pts, vals, classify(vals, policy), warnings)
 
@@ -257,8 +258,6 @@ def criterion_kamenev(
     mode: str,
     grid: GeometricGrid,
     *,
-    d_fn=None,
-    breakpoints=None,
     policy: LimsupPolicy | None = None,
 ) -> CriterionTrajectory:
     """Weighted-average criteria sampled along the grid.
@@ -280,9 +279,8 @@ def criterion_kamenev(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     pts = grid.points()
-    d = d_fn or (lambda t: d_closed(model, t))
     power = alpha if mode == THM33G else alpha + 1.0
-    terms = [(1.0, d, power)]
+    terms = [(1.0, model.d_at, power)]
     if mode == THM31B:
         def pen_squared(tau):
             v = p_minus(model, tau)
@@ -291,7 +289,7 @@ def criterion_kamenev(
         terms.append((-power / 9.0, pen_squared, alpha))
     elif mode == THM32D:
         terms.append((-power, lambda tau: p_minus(model, tau), alpha))
-    vals, warnings = _series(model, pts, terms, breakpoints)
+    vals, warnings = _series(model, pts, terms)
     vals = vals / pts ** power
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{mode} produced non-finite samples")
@@ -299,33 +297,23 @@ def criterion_kamenev(
     return CriterionTrajectory(mode, float(alpha), pts, vals, verdict, warnings)
 
 
-def lazer_integrand(model: CoefficientModel) -> Callable[[float], float]:
-    """r(t) - (2/(3 sqrt 3)) (-q(t))^(3/2), with -q clamped at 0."""
-
-    def fn(t: float) -> float:
-        q = model.q_at(t)
-        neg_q = -q if q < 0.0 else 0.0
-        return model.r_at(t) - LAZER_CONST * neg_q ** 1.5
-
-    return fn
-
-
 def criterion_lazer(
     model: CoefficientModel,
     grid: GeometricGrid,
     *,
     policy: LimsupPolicy | None = None,
-    breakpoints=None,
 ) -> CriterionTrajectory:
-    """Classical integral test: S(t) = int_{t0}^t [r - (2/(3 sqrt 3))(-q)^(3/2)].
+    """Classical integral test (Lazer 1966): S(t) = int_{t0}^t D, the THM32C
+    series of the closed-form D.
 
-    Meaningful when p is identically zero and q <= 0.  This computes the
-    integral alone, with (-q)^(3/2) clamped at 0 where q > 0;
-    ``theorem_verdict`` decides both hypotheses, with witnesses, in its
-    ``p_zero`` and (a) conditions.
+    Meaningful when p is identically zero and q <= 0, where D is
+    r - (2/(3 sqrt 3))(-q)^(3/2); ``theorem_verdict`` decides both
+    hypotheses, with witnesses, in its ``p_zero`` and (a) conditions.  A D
+    override is an input of the theorems, not of this test, so it is not
+    read.
     """
     pts = grid.points()
-    vals, warnings = _series(model, pts, [(1.0, lazer_integrand(model), 0)], breakpoints)
+    vals, warnings = _series(model, pts, [(1.0, lambda t: d_closed(model, t), 0)])
     return CriterionTrajectory(LAZER, None, pts, vals, classify_limsup(vals, policy), warnings)
 
 
@@ -345,7 +333,6 @@ def check_33f(
     split: SplitModel,
     horizon: float = HORIZON_33F,
     *,
-    breakpoints=None,
     policy: LimsupPolicy | None = None,
 ) -> Check33fReport:
     """Split-coefficient condition: int |p1| finite and p2 bounded.
@@ -360,7 +347,7 @@ def check_33f(
     ratio = 1.15
     count = max(int(math.ceil(math.log(horizon / t0) / math.log(ratio))) + 1, 16)
     grid = GeometricGrid(t0, ratio, count)
-    vals, warnings = _series(model, grid.points(), [(1.0, lambda t: abs(split.p1_at(t)), 0)], breakpoints)
+    vals, warnings = _series(model, grid.points(), [(1.0, lambda t: abs(split.p1_at(t)), 0)])
     verdict = classify_limsup(vals, policy)
     integrable_ok = verdict.kind == BOUNDED
 
@@ -447,8 +434,6 @@ def theorem_verdict(
     alpha: float | None = None,
     grid: GeometricGrid | None = None,
     policy: LimsupPolicy | None = None,
-    d_fn=None,
-    breakpoints=None,
 ) -> TheoremReport:
     """Evaluate every condition of one theorem and combine the verdicts.
 
@@ -480,18 +465,18 @@ def theorem_verdict(
         warnings.extend(f"({letter}) {w}" for w in traj.warnings)
 
     if theorem == "THM31":
-        run("b", criterion_kamenev(model, alpha, THM31B, grid, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
+        run("b", criterion_kamenev(model, alpha, THM31B, grid, policy=policy))
     elif theorem == "THM32":
-        run("c", cumulative_D(model, grid, THM32C, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
-        run("d", criterion_kamenev(model, alpha, THM32D, grid, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
+        run("c", cumulative_D(model, grid, THM32C, policy=policy))
+        run("d", criterion_kamenev(model, alpha, THM32D, grid, policy=policy))
     elif theorem == "THM33":
-        run("e", cumulative_D(model, grid, THM33E, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
-        f = conditions["f"] = check_33f(split, breakpoints=breakpoints, policy=policy)
+        run("e", cumulative_D(model, grid, THM33E, policy=policy))
+        f = conditions["f"] = check_33f(split, policy=policy)
         warnings.extend(f"(f) {w}" for w in f.warnings)
-        run("g", criterion_kamenev(model, alpha, THM33G, grid, d_fn=d_fn, breakpoints=breakpoints, policy=policy))
+        run("g", criterion_kamenev(model, alpha, THM33G, grid, policy=policy))
     else:
         conditions["p_zero"] = _p_zero_check(model)
-        run("integral", criterion_lazer(model, grid, policy=policy, breakpoints=breakpoints))
+        run("integral", criterion_lazer(model, grid, policy=policy))
 
     outcomes = [_outcome(k, v) for k, v in conditions.items()]
     if all(outcomes):

@@ -44,9 +44,10 @@ The nonlinear Riccati equation has neither frame nor rescaling, so its
 caller passes an ``escape`` bound instead: a solution that leaves
 |state| > escape is truncated and flagged rather than raised, since a
 genuinely growing mode is an informative outcome there, not a failure.
-Its one column is read by cubic Hermite interpolation.  Coefficients with
-narrow active windows (bump trains) can supply ``feature_windows`` so
-steps never leap over a bump unsampled.
+Its one column is read by cubic Hermite interpolation.  A model whose
+coefficients have narrow active windows (bump trains) carries them, and
+``integrate_third_order`` hands them to the stepper so that steps never
+leap over a bump unsampled.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class OdeControls:
     abs_tol: float = 1e-12
     h_max: float = 0.1
     zero_tol: float = field(init=False, default=ZERO_TOL)  # recorded in reports, not settable
-    feature_windows: Sequence[tuple] | None = None  # [(lo, hi), ...] narrow active regions
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "h_max"):
@@ -102,7 +102,6 @@ class OdeControls:
             "h_max": self.h_max,
             "zero_tol": self.zero_tol,
             "renorm_threshold": RENORM_THRESHOLD,
-            "feature_windows": len(self.feature_windows) if self.feature_windows else 0,
         }
 
 
@@ -399,7 +398,7 @@ def _stepper(width: int, frame: bool):
 
 def _dopri(
     deriv, t0: float, init, t_max: float, controls: OdeControls,
-    escape: float | None = None, node=None,
+    escape: float | None = None, node=None, windows=None,
 ):
     """Dormand-Prince 5(4) from state ``init`` at t0, by the step loop
     expanded for ``len(init)`` components.
@@ -424,8 +423,10 @@ def _dopri(
       The error scale is ``abs_tol * exp(-M) + rel_tol * |psi|``, so
       ``abs_tol`` bounds the error of y itself.
 
-    A span longer than ``MAX_STEPS`` steps of ``controls.h_max`` is refused
-    up front, since stepping through it would not finish.
+    ``windows``, narrow active regions [(lo, hi), ...], shorten the steps
+    near them (``_StepLimiter``).  A span longer than ``MAX_STEPS`` steps of
+    ``controls.h_max`` is refused up front, since stepping through it would
+    not finish.
     """
     if (escape is None) == (node is None):
         raise ValueError("give exactly one of escape (any equation) and node (a linear system)")
@@ -434,7 +435,6 @@ def _dopri(
         raise ValueError(
             f"t_max={t_max!r} is more than {MAX_STEPS} steps of h_max={h_max!r} past t0={t0!r}"
         )
-    windows = controls.feature_windows
     limiter = _StepLimiter(windows) if windows else None
     init = [float(v) for v in init]
     width = len(init)
@@ -529,7 +529,8 @@ def integrate_third_order(
     if len(init) not in (3, 9):
         raise ValueError(f"initial must be a 3-vector or a 3x3 matrix, got {len(init)} values")
     deriv, node = _linear_rhs(model, len(init))
-    traj = _dopri(deriv, model.t0, init, t_max, controls or OdeControls(), node=node)
+    windows = model.windows(t_max) if model.windows else None
+    traj = _dopri(deriv, model.t0, init, t_max, controls or OdeControls(), node=node, windows=windows)
     if traj.status == STEP_UNDERFLOW:
         traj.warnings.append(f"trajectory truncated at t={traj.t_end:.6g}: step size underflow")
     return traj

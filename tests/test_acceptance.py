@@ -22,7 +22,6 @@ from osc3.kamenev import (
     APPLIES,
     BOUNDED,
     DIVERGES,
-    LAZER_CONST,
     kamenev_transform,
     theorem_verdict,
 )
@@ -40,6 +39,8 @@ from osc3.riccati import (
     riccati2_residual,
     solve_riccati1,
 )
+
+LAZER_CONST = 2.0 / (3.0 * math.sqrt(3.0))  # D = r - LAZER_CONST (-q)^(3/2) at p = 0, q <= 0
 
 
 def _run(capsys, num, label, budget, fn):
@@ -129,12 +130,11 @@ def test_criterion_4_grown_damping_fixture(capsys):
         fx = get_fixture("example31")
         model = fx.build()
         grid = fx.grid()
-        d_fn = fx.d_fn()
-        rep32 = theorem_verdict(model, "THM32", alpha=1.0, grid=grid, d_fn=d_fn)
+        rep32 = theorem_verdict(model, "THM32", alpha=1.0, grid=grid)
         assert rep32.condition_results["c"].kind == DIVERGES
         assert rep32.condition_results["d"].kind == DIVERGES
         assert rep32.overall == APPLIES
-        rep31 = theorem_verdict(model, "THM31", alpha=1.0, grid=grid, d_fn=d_fn)
+        rep31 = theorem_verdict(model, "THM31", alpha=1.0, grid=grid)
         b = rep31.condition_results["b"]
         assert b.kind != DIVERGES
         traj = rep31.trajectories["b"]
@@ -169,19 +169,13 @@ def test_criterion_5_bump_train_fixture(capsys):
             expect = 3.0 * M * M * n / 8.0
             assert abs(got.value - expect) <= 0.01 * expect, (n, got.value, expect)
         grid = fx.grid()
-        bps = fx.breakpoints(grid.t_end)
-        d_fn = fx.d_fn()
         split = fx.build_split(model)
-        rep33 = theorem_verdict(
-            split, "THM33", alpha=2.0, grid=grid, d_fn=d_fn, breakpoints=bps
-        )
+        rep33 = theorem_verdict(split, "THM33", alpha=2.0, grid=grid)
         assert rep33.condition_results["e"].kind == BOUNDED
         assert rep33.condition_results["f"].holds
         assert rep33.condition_results["g"].kind == DIVERGES
         assert rep33.overall == APPLIES
-        rep31 = theorem_verdict(
-            model, "THM31", alpha=2.0, grid=grid, d_fn=d_fn, breakpoints=bps
-        )
+        rep31 = theorem_verdict(model, "THM31", alpha=2.0, grid=grid)
         assert rep31.condition_results["b"].kind != DIVERGES
 
     _run(capsys, 5, "bump train: alpha>1 test applies, penalty test does not", 120.0, body)

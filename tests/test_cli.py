@@ -116,6 +116,18 @@ class TestCheck:
         for text in lazer["warnings"] + doc["warnings"]:
             assert "identically zero" not in text and "positive values" not in text
 
+    def test_bump_condition_f_does_not_depend_on_the_grid(self, capsys):
+        # (f) integrates |p1| out to its own horizon, past the theorem grid's
+        # end, so it must split panels at every bump up to that horizon
+        from osc3.fixtures import EXAMPLE32
+        from osc3.kamenev import check_33f
+
+        doc = run_json(capsys, ["check", "--fixture", "example32", "--theorem", "thm33", "--grid-count", "17"])
+        f = doc["theorem_reports"][0]["conditions"]["f"]
+        direct = check_33f(EXAMPLE32.build_split(EXAMPLE32.build()))
+        assert f["integral_tail"] == direct.integral_tail
+        assert f["warnings"] == direct.warnings
+
     def test_param_override(self, capsys):
         doc = run_json(
             capsys,
@@ -184,7 +196,7 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_verdicts_match_check_on_bump_train(self, capsys):
-        # sweep uses the fixture's quadrature breakpoints, as check does
+        # sweep builds the model that carries the bump windows, as check does
         argv = ["--fixture", "example32", "--theorem", "thm31", "--grid-count", "17"]
         doc = run_json(capsys, ["check"] + argv)
         assert doc["theorem_reports"][0]["overall"] == "DOES_NOT_APPLY"

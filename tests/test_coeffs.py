@@ -173,18 +173,19 @@ class TestSplit:
         assert sp.p1_at(t) + sp.p2_at(t) == pytest.approx(-1.0)
 
     def test_split_is_checked_on_every_representable_bump(self):
-        from osc3.fixtures import EXAMPLE32, bump_intervals
+        from osc3.fixtures import EXAMPLE32
 
         model = EXAMPLE32.build()
-        windows = bump_intervals(1e4)
         # the jittered probe points alone miss every bump of p_-
-        make_split(model, "0", "0")
+        params = dict(EXAMPLE32.defaults)
+        make_split(build_model(EXAMPLE32.p_src, EXAMPLE32.q_src, EXAMPLE32.r_src, params), "0", "0")
+        # the fixture's model carries its windows, so their midpoints are probed
         with pytest.raises(ModelError, match=r"split does not reconstruct min\(p, 0\) at t=1\.5$"):
-            make_split(model, "0", "0", windows=windows)
+            make_split(model, "0", "0")
         # the fixture's own split, p1 = p, holds at the midpoints too
         EXAMPLE32.build_split(model)
         # only a midpoint above the window's left edge is checked
-        spike = build_model("-(t >= 5)*(t <= 5)", "0", "1")
-        make_split(spike, "0", "0", windows=[(5.0, 5.0)])
+        spike = "-(t >= 5)*(t <= 5)"
+        make_split(build_model(spike, "0", "1", windows=lambda t_end: [(5.0, 5.0)]), "0", "0")
         with pytest.raises(ModelError, match="at t=5$"):
-            make_split(spike, "0", "0", windows=[(4.0, 6.0)])
+            make_split(build_model(spike, "0", "1", windows=lambda t_end: [(4.0, 6.0)]), "0", "0")

@@ -1,8 +1,9 @@
 """Every top-level import in src/osc3 is used by the module that makes it,
 every module-level private name is read somewhere in src/osc3, no module
 imports scipy, which only the tests use, as an outside reference, one
-Dormand-Prince tableau serves every state width, and every Kamenev series
-reaches the quadrature engine through one helper.
+Dormand-Prince tableau serves every state width, every Kamenev series
+reaches the quadrature engine through one helper, and the minimum function
+and the feature windows are read off the model, not passed alongside it.
 
 An import counts as used when it is read anywhere else in the module (type
 annotations included) or listed in ``__all__``.  ``from __future__``
@@ -177,3 +178,53 @@ def test_checker_sees_a_second_engine_caller():
         "ENGINE = integrate_adaptive\n"
     )
     assert engine_readers(source) == ["C", "_series", "check", "line 11"]
+
+
+# facts the coefficient model carries; only quad, below the model, takes breakpoints
+MODEL_FACTS = {"d_fn", "feature_windows", "breakpoints"}
+
+
+def threaded_parameters(module: str, source: str) -> list:
+    """Parameters of any function, lambda or dataclass field named after a
+    fact the model carries, except ``breakpoints`` in quad."""
+    banned = MODEL_FACTS - {"breakpoints"} if module == "quad.py" else MODEL_FACTS
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg]
+            owner = getattr(node, "name", "lambda")
+        elif isinstance(node, ast.ClassDef):
+            names = [f.target.id for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            owner = node.name
+        else:
+            continue
+        found.extend(f"{module}: {owner}({name})" for name in names if name in banned)
+    return found
+
+
+def test_model_facts_are_not_threaded():
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as f:
+            found.extend(threaded_parameters(module, f.read()))
+    assert found == []
+
+
+def test_checker_sees_a_threaded_fact():
+    source = (
+        "def series(model, pts, breakpoints=None):\n    pass\n"
+        "class Controls:\n    h_max: float = 0.1\n    feature_windows: list = None\n"
+        "def verdict(model, *, d_fn=None):\n    return lambda t, d_fn=d_fn: d_fn(t)\n"
+    )
+    assert threaded_parameters("kamenev.py", source) == [
+        "kamenev.py: series(breakpoints)",
+        "kamenev.py: Controls(feature_windows)",
+        "kamenev.py: verdict(d_fn)",
+        "kamenev.py: lambda(d_fn)",
+    ]
+    assert threaded_parameters("quad.py", source) == [
+        "quad.py: Controls(feature_windows)",
+        "quad.py: verdict(d_fn)",
+        "quad.py: lambda(d_fn)",
+    ]

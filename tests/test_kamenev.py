@@ -14,7 +14,6 @@ from osc3.kamenev import (
     DIVERGES,
     DOES_NOT_APPLY,
     INCONCLUSIVE,
-    LAZER_CONST,
     SHORTFALL,
     THM31B,
     THM32C,
@@ -30,7 +29,6 @@ from osc3.kamenev import (
     criterion_lazer,
     cumulative_D,
     kamenev_transform,
-    lazer_integrand,
     theorem_verdict,
 )
 
@@ -208,7 +206,7 @@ class TestCriterionTrajectories:
         integrate = pytest.importorskip("scipy.integrate")
         fx = get_fixture("example31")
         model = fx.build()
-        d_fn = fx.d_fn()
+        d = model.d_at  # the fixture's override, N t^beta
         grid = GeometricGrid(1.0, 1.15, 40)
 
         def weighted(g, m, t):
@@ -226,12 +224,12 @@ class TestCriterionTrajectories:
             ref = []
             for t in grid.points():
                 if crit == THM33G:
-                    ref.append(weighted(d_fn, alpha, t) / t ** alpha)
+                    ref.append(weighted(d, alpha, t) / t ** alpha)
                     continue
                 pen, coeff = (pen2, (alpha + 1.0) / 9.0) if crit == THM31B else (pen1, alpha + 1.0)
-                ref.append((weighted(d_fn, alpha + 1.0, t) - coeff * weighted(pen, alpha, t)) / t ** (alpha + 1.0))
+                ref.append((weighted(d, alpha + 1.0, t) - coeff * weighted(pen, alpha, t)) / t ** (alpha + 1.0))
             ref = np.array(ref)
-            traj = criterion_kamenev(model, alpha, crit, grid, d_fn=d_fn)
+            traj = criterion_kamenev(model, alpha, crit, grid)
             rel = np.max(np.abs(traj.values - ref) / (1.0 + np.abs(ref)))
             assert rel < 1e-9, (crit, alpha)
             assert traj.verdict.kind == classify_limsup(ref).kind
@@ -243,12 +241,14 @@ class TestCriterionTrajectories:
         assert np.allclose(traj.values, traj.t - 1.0, atol=1e-8)
         assert traj.verdict.kind == DIVERGES
 
-    def test_lazer_integrand_value(self):
-        # r - (2/(3 sqrt 3)) (-q)^{3/2} with q = -3 is r - 2
-        m = build_model("0", "-3", "5")
-        f = lazer_integrand(m)
-        assert f(4.0) == pytest.approx(3.0, abs=1e-12)
-        assert LAZER_CONST == pytest.approx(2.0 / (3.0 * math.sqrt(3.0)), abs=1e-15)
+    @pytest.mark.parametrize("q, r", [("-3", "5"), ("-3*t^2", "2.5*t^3"), ("-t", "t^1.5"), ("1", "2")])
+    def test_lazer_is_thm32c_at_p_zero(self, q, r):
+        # at p = 0 Lazer's integrand r - (2/(3 sqrt 3)) (-q)^{3/2} is D, so
+        # its series is THM32C's, bit for bit; a D override is not read
+        m = build_model("0", q, r)
+        lazer = criterion_lazer(m, GRID).values
+        assert np.array_equal(lazer, cumulative_D(m, GRID, THM32C).values)
+        assert np.array_equal(lazer, criterion_lazer(build_model("0", q, r, d_src="1/t"), GRID).values)
 
 
 class TestCheck33f:
@@ -281,7 +281,7 @@ class TestCheck33f:
     def test_bump_fixture_split_passes(self):
         fx = get_fixture("example32")
         sp = fx.build_split(fx.build())
-        rep = check_33f(sp, 200.0, breakpoints=fx.breakpoints(200.0))
+        rep = check_33f(sp, 200.0)
         assert rep.holds
 
 
@@ -349,22 +349,22 @@ class TestTheoremVerdict:
     # stays undecided leaves the theorem INCONCLUSIVE, and (e), which wants
     # BOUNDED where the others want DIVERGES, refutes THM33 when it diverges
     def test_undecided_conditions_leave_thm32_inconclusive(self):
-        rep = theorem_verdict(build_model("0", "0", "1"), "THM32",
-                              grid=GeometricGrid(1.0, 1.15, 40), d_fn=lambda t: 1.0 / t)
+        rep = theorem_verdict(build_model("0", "0", "1", d_src="1/t"), "THM32",
+                              grid=GeometricGrid(1.0, 1.15, 40))
         assert rep.overall == INCONCLUSIVE
         assert rep.condition_results["c"].kind == INCONCLUSIVE
         assert rep.condition_results["d"].kind == INCONCLUSIVE
 
     def test_bounded_e_and_undecided_g_leave_thm33_inconclusive(self):
-        rep = theorem_verdict(make_split(build_model("0", "0", "1")), "THM33",
-                              grid=GeometricGrid(1.0, 1.15, 40), d_fn=lambda t: 1.0 / t)
+        rep = theorem_verdict(make_split(build_model("0", "0", "1", d_src="1/t")), "THM33",
+                              grid=GeometricGrid(1.0, 1.15, 40))
         assert rep.overall == INCONCLUSIVE
         assert rep.condition_results["e"].kind == BOUNDED
         assert rep.condition_results["g"].kind == INCONCLUSIVE
 
     def test_diverging_e_refutes_thm33(self):
-        rep = theorem_verdict(make_split(build_model("0", "0", "1")), "THM33",
-                              grid=GeometricGrid(1.0, 1.15, 40), d_fn=lambda t: -t)
+        rep = theorem_verdict(make_split(build_model("0", "0", "1", d_src="-t")), "THM33",
+                              grid=GeometricGrid(1.0, 1.15, 40))
         assert rep.overall == DOES_NOT_APPLY
         assert rep.condition_results["e"].kind == DIVERGES
         assert rep.condition_results["g"].kind == BOUNDED

@@ -73,8 +73,7 @@ class TestTrajectory:
     def test_slopes_are_the_right_side_at_each_node(self, name, t_max):
         fx = get_fixture(name)
         model = fx.build_ode_model()
-        ctl = OdeControls(feature_windows=fx.feature_windows(t_max))
-        traj = integrate_third_order(model, (1.0, 0.0, 0.0), t_max, ctl)
+        traj = integrate_third_order(model, (1.0, 0.0, 0.0), t_max)
         assert traj.status == COMPLETED
         if name == "example31":
             assert traj.log_scale[-1] > 0.0  # the check covers a rescale
@@ -320,7 +319,7 @@ class TestEngineeredFixtures:
     def test_bump_fixture_integrates_cleanly(self):
         fx = get_fixture("example32")
         model = fx.build()
-        ctl = OdeControls(rel_tol=1e-8, feature_windows=fx.feature_windows(6.0))
+        ctl = OdeControls(rel_tol=1e-8)
         traj = integrate_third_order(model, (1.0, 0.0, 0.0), 6.0, ctl)
         assert traj.status == COMPLETED
         assert traj.warnings == []

@@ -6,7 +6,9 @@ lambda^3 + p lambda^2 + q lambda + r.  With three real roots such a
 combination has at most two zeros, so no criterion may APPLY and no solution
 may show oscillatory evidence.  With p = 0 the roots are non-real exactly when
 r > (2/(3 sqrt 3)) (-q)^(3/2), and Lazer's integral is that difference times
-t - t0, so its verdict must follow the sign of the difference.
+t - t0, so its verdict must follow the sign of the difference; and since the
+three theorems generalize Lazer's criterion, each of them applies wherever
+it does.
 
 Euler equations t^3 phi''' + a t^2 phi'' + b t phi' + c phi = 0 have
 p = a/t, q = b/t^2, r = c/t^3 and minimum function D(1)/t^3: every criterion
@@ -18,14 +20,15 @@ and q = 0.
 """
 
 import json
+import math
 
 import numpy as np
 
 from osc3.cli import main
 from osc3.coeffs import build_model
-from osc3.kamenev import LAZER_CONST
 from osc3.ode import oscillation_report
 
+LAZER_CONST = 2.0 / (3.0 * math.sqrt(3.0))  # at p = 0, q <= 0: D = r - LAZER_CONST (-q)^(3/2)
 MARGIN = 0.3  # least gap between two real roots, and least |Im| of a complex pair
 LAZER_MARGIN = 0.05  # least |r - LAZER_CONST (-q)^(3/2)|
 
@@ -60,9 +63,19 @@ def _constant_cases(seed, n):
 
 
 def _verdicts(capsys, p_src, q_src, r_src, theorems="all"):
-    assert main(["check", "--p", p_src, "--q", q_src, "--r", r_src, "--theorem", theorems]) == 0
+    return _reports(capsys, ["--p", p_src, "--q", q_src, "--r", r_src, "--theorem", theorems])
+
+
+def _reports(capsys, source_args):
+    assert main(["check", *source_args]) == 0
     reports = json.loads(capsys.readouterr().out)["theorem_reports"]
     return {rep["theorem"]: rep["overall"] for rep in reports}
+
+
+def _generalized(verdicts):
+    """Lazer's criterion applying implies every theorem applies."""
+    if verdicts["LAZER"] == "APPLIES":
+        assert all(verdicts[thm] == "APPLIES" for thm in ("THM31", "THM32", "THM33")), verdicts
 
 
 def test_constant_coefficients_apply_only_with_non_real_roots(capsys):
@@ -88,10 +101,14 @@ def test_lazer_follows_the_sign_of_its_difference(capsys):
             if r >= 0.1:
                 break
         assert _nonreal(0.0, q, r) == (diff > 0)
-        verdict = _verdicts(capsys, "0", repr(q), repr(r), "lazer")["LAZER"]
-        assert verdict == ("APPLIES" if diff > 0 else "DOES_NOT_APPLY"), (q, r)
-        seen.add(verdict)
+        verdicts = _verdicts(capsys, "0", repr(q), repr(r))
+        assert verdicts["LAZER"] == ("APPLIES" if diff > 0 else "DOES_NOT_APPLY"), (q, r)
+        _generalized(verdicts)
+        seen.add(verdicts["LAZER"])
     assert seen == {"APPLIES", "DOES_NOT_APPLY"}
+    verdicts = _reports(capsys, ["--fixture", "lazer", "--theorem", "all"])
+    assert verdicts["LAZER"] == "APPLIES"
+    _generalized(verdicts)
 
 
 def test_euler_equations_never_apply(capsys):

@@ -187,8 +187,8 @@ class TestWeightedSeries:
         model = fx.build()
         pts = GeometricGrid(1.0, 1.15, 40).points()
         series = (
-            (fx.d_fn(), alpha + 1.0),
-            (fx.d_fn(), alpha),
+            (model.d_at, alpha + 1.0),
+            (model.d_at, alpha),
             (lambda tau: min(model.p_at(tau), 0.0) ** 2, alpha),
             (lambda tau: min(model.p_at(tau), 0.0), alpha),
         )
@@ -212,7 +212,7 @@ class TestWeightedSeries:
 
     def test_evals_equal_integrand_calls(self):
         fx = get_fixture("example31")
-        counted = _Counted(fx.d_fn())
+        counted = _Counted(fx.build().d_at)
         res = integrate_adaptive(counted, 1.0, GeometricGrid(1.0, 1.15, 40).points(), DEFAULT_TOL,
                                  power=1.5)
         assert res.evals == counted.calls > 0
@@ -226,10 +226,10 @@ class TestWeightedSeries:
     def test_one_pass_is_linear_in_the_grid(self):
         # one pass serves the whole grid: a few panels per gap, not a fresh
         # quadrature from a for every grid point
-        fx = get_fixture("example31")
+        d = get_fixture("example31").build().d_at
         calls = {}
         for count in (40, 80):
-            series_fn = _Counted(fx.d_fn())
+            series_fn = _Counted(d)
             integrate_adaptive(series_fn, 1.0, GeometricGrid(1.0, 1.15, count).points(), DEFAULT_TOL,
                                power=1.5)
             assert series_fn.calls <= 37 * (count - 1)
@@ -259,7 +259,7 @@ class TestWeightedSeries:
         # amplified by 30^5 pi: refinement stops on rounding noise, flagged
         fx = get_fixture("example32")
         model = fx.build()
-        edges = [x for x in fx.breakpoints(31.0) if 29.5 <= x <= 30.5]
+        edges = [x for pair in model.windows(31.0) for x in pair if 29.5 <= x <= 30.5]
         res = integrate_adaptive(lambda tau: min(model.p_at(tau), 0.0) ** 2, 29.5, [30.5],
                                  DEFAULT_TOL, breakpoints=edges, power=1.5)
         assert res.warning
