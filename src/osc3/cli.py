@@ -21,7 +21,6 @@ import math
 import os
 import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -287,8 +286,14 @@ def cmd_sweep(args) -> int:
         points = [prev + (val,) for prev in points for val in values]
     names = [name for name, _ in sweeps]
     payloads = [(fixture, dict(zip(names, point)), theorems, grid, policy, combo, args.tmax) for point in points]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a process pool starts all its workers at once, so it gets no more
+    # than there are points, and none for one point; its modules are
+    # imported only here, since every other command would pay for them
+    jobs = min(args.jobs, len(payloads))
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]

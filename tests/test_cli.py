@@ -195,6 +195,34 @@ class TestSweep:
         assert main(argv + ["--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pool_gets_no_more_workers_than_points(self, tmp_path, monkeypatch):
+        # a fake executor records the pool size and runs the points in
+        # process, so no worker process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        argv = ["sweep", "--p", "0", "--q", "0", "--r", "r0", "--theorem", "lazer",
+                "--grid-count", "20", "--tmax", "5"]
+        assert main(argv + ["--sweep", "r0=1:2:1", "--jobs", "64", "--out", str(tmp_path / "a.csv")]) == 0
+        assert sizes == [2]
+        # one point runs in process
+        assert main(argv + ["--sweep", "r0=1:1:1", "--jobs", "64", "--out", str(tmp_path / "b.csv")]) == 0
+        assert sizes == [2]
+
     def test_verdicts_match_check_on_bump_train(self, capsys):
         # sweep builds the model that carries the bump windows, as check does
         argv = ["--fixture", "example32", "--theorem", "thm31", "--grid-count", "17"]

@@ -3,10 +3,13 @@ Gauss-Kronrod panel engine behind all three."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from osc3 import quad
+from osc3.coeffs import build_model
 from osc3.expr import compile_fn, parse
 from osc3.fixtures import get_fixture
 from osc3.kamenev import GeometricGrid
@@ -100,6 +103,9 @@ class TestIntegrateAdaptive:
         res = integrate_adaptive(spike, 0.0, 1.0, 1e-14)
         assert res.warning
         assert res.value == pytest.approx(2.0, abs=1e-3)
+        # the panel-by-panel refinement's count and value
+        assert res.evals == 3585
+        assert res.value == pytest.approx(1.999999999957459, rel=1e-13)
 
     def test_eval_count_reported(self):
         res = integrate_adaptive(lambda t: math.sin(10 * t), 0.0, 5.0, 1e-10)
@@ -123,6 +129,15 @@ class TestIntegrateAdaptive:
         depth = sys.getrecursionlimit() - 12
         res = _at_depth(depth, lambda: integrate_adaptive(math.sin, 0.0, math.pi, 1e-12))
         assert res.value == pytest.approx(2.0, abs=1e-11)
+        # a weighted series runs the Gauss-Jacobi and weight paths as well;
+        # its reference, int_0^t (t - tau)^1.5 sin(tau) dtau one end at a
+        # time, comes first, which also builds the cached Jacobi rules
+        # (numpy.linalg needs frames of its own)
+        pts = [0.5, 1.0, 2.0, math.pi]
+        ref = [integrate_adaptive(math.sin, 0.0, [t], 1e-12, power=1.5).value[0] for t in pts]
+        res = _at_depth(depth, lambda: integrate_adaptive(math.sin, 0.0, pts, 1e-12,
+                                                          breakpoints=[0.25, 1.5, 2.5], power=1.5))
+        assert np.allclose(res.value, ref, rtol=1e-10, atol=0.0)
 
 
 class TestCumulative:
@@ -265,6 +280,9 @@ class TestWeightedSeries:
         assert res.warning
         # 3 M^2 n / 8 with M = 13, weighted by about 0.5^1.5
         assert res.value[0] == pytest.approx(3.0 * 169.0 * 30.0 / 8.0 * 0.5**1.5, rel=1e-6)
+        # the panel-by-panel refinement's count and value
+        assert res.evals == 10882
+        assert res.value[0] == pytest.approx(672.1934368676513, rel=1e-13)
 
     def test_depth_cap_sets_warning(self):
         # int_0^1 (1 - tau)^0.5 tau^-0.5 dtau = B(1/2, 3/2) = pi / 2; the
@@ -286,3 +304,71 @@ class TestWeightedSeries:
     def test_invalid_input_rejected(self, a, ends, m):
         with pytest.raises(ValueError):
             integrate_adaptive(lambda tau: 1.0, a, ends, power=m)
+
+
+class TestEngineDecisions:
+    """Panel counts, flags and values of the panel-by-panel refinement:
+    refining a level at a time changes only the order of evaluation and
+    summation, not which panels are bisected or where refinement stops."""
+
+    @pytest.mark.parametrize("m, evals, values", [
+        (0.0, 585, (0.1310760937499999, 250.6239691365862, 359429.0988284248, 515111378.9888895)),
+        (1.5, 1428, (0.002775175654043065, 422.023167730331, 9278021.120322239, 202933052778.4115)),
+        (2.5, 1428, (0.00028902788232263766, 992.2089041271026, 135089938.14078924, 18180055819963.293)),
+    ])
+    def test_lazer_sweep_d(self, m, evals, values):
+        # D of p = 0, q = -3 t^2, r = 2.7 t^3 on the 40-point grid
+        model = build_model("0", "-3*t^2", "2.7*t^3", {}, t0=1.0)
+        res = integrate_adaptive(model.d_at, 1.0, GeometricGrid(1.0, 1.15, 40).points(), DEFAULT_TOL,
+                                 power=m)
+        assert (res.evals, res.warning) == (evals, False)
+        assert np.allclose(res.value[[1, 13, 26, 39]], values, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("m, evals, values", [
+        (2.0, 1530, (0.00022734054863211232, 125.61270659432567, 20153.892927201225, 1042675.5577904811)),
+        (1.5, 1999, (0.0010424713424926583, 131.03347992720413, 9801.656438517197, 307724.06251670927)),
+    ])
+    def test_example32_penalty(self, m, evals, values):
+        # p_-^2 of the bump train at M = 12.35 on the 23-point grid, split
+        # at the bump windows
+        model = get_fixture("example32").build({"M": 12.35})
+        pts = GeometricGrid(1.0, 1.15, 23).points()
+        edges = [x for pair in model.windows(float(pts[-1])) for x in pair]
+        res = integrate_adaptive(lambda tau: min(model.p_at(tau), 0.0) ** 2, 1.0, pts, DEFAULT_TOL,
+                                 breakpoints=edges, power=m)
+        assert (res.evals, res.warning) == (evals, False)
+        assert np.allclose(res.value[[1, 7, 15, 22]], values, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("run", [1, 20, 60])
+    def test_run_size_changes_no_decision(self, monkeypatch, run):
+        # runs of any size, down to one panel, bisect the same panels
+        model = get_fixture("example32").build()
+        edges = [x for pair in model.windows(31.0) for x in pair if 28.5 <= x <= 30.5]
+        g = lambda tau: min(model.p_at(tau), 0.0) ** 2
+        pts = [29.0, 29.25, 30.5]
+        ref = integrate_adaptive(g, 28.5, pts, DEFAULT_TOL, breakpoints=edges, power=1.5)
+        monkeypatch.setattr(quad, "_RUN", run)
+        res = integrate_adaptive(g, 28.5, pts, DEFAULT_TOL, breakpoints=edges, power=1.5)
+        assert (res.evals, res.warning) == (ref.evals, ref.warning)
+        assert np.allclose(res.value, ref.value, rtol=1e-13, atol=0.0)
+
+
+def test_memory_does_not_grow_with_the_panels():
+    # base intervals enter and levels are refined in runs of bounded size.
+    # Holding a whole level at once would take 15 doubles for each (panel,
+    # fed end) pair, about 16 pairs a panel here, so 1.9 kB a panel; the
+    # engine's arrays stay within a fixed size and only the sorted edges
+    # grow with the panels.
+    pts = GeometricGrid(1.0, 1.06, 61).points()
+    peaks = []
+    for count in (2000, 8000):
+        edges = np.linspace(1.0, float(pts[-1]), count).tolist()
+        tracemalloc.start()
+        try:
+            res = integrate_adaptive(math.sin, 1.0, pts, DEFAULT_TOL, breakpoints=edges, power=1.5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.evals >= 15 * count
+    assert peaks[1] < 8e6
+    assert peaks[1] - peaks[0] < 200 * 6000
