@@ -5,8 +5,11 @@ p', bound parameter values and the left endpoint t0, with the two facts
 about the equation that every consumer shares: its minimum function D
 (``d_at``: an override, or ``d_closed``) and the narrow active windows of
 its coefficients (``windows``), where quadrature panels split and integrator
-steps shorten.  On top of it live the pointwise quantities the averaged
-oscillation criteria consume:
+steps shorten.  It also records which coefficients are constants, whose
+one value is read instead of samples, and caches what is asked for again:
+the closed-form D at each node and the report of condition (a).  On top
+of it live the pointwise quantities the averaged oscillation criteria
+consume:
 
 * ``p_minus``   -- the negative part min(p(t), 0);
 * ``cubic_g``   -- G(t, u) = u^3 + p u^2 + (q - p') u + r;
@@ -24,7 +27,9 @@ u >= 0 and the answer is r.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -40,6 +45,7 @@ SIGN_SPAN = 1e4  # condition (a) and p == 0 are sampled on [t0, t0 + SIGN_SPAN] 
 SIGN_N = 1024  # ... and condition (a) at this many points
 ORACLE_N_GRID = 1000  # d_oracle scans this many cells of [0, u_max] ...
 ORACLE_U_TOL = 1e-10  # ... and refines the best one to this width
+D_CACHE = 2 ** 15  # a model keeps its closed-form D at this many recent nodes
 
 
 class ModelError(ValueError):
@@ -71,24 +77,24 @@ class CoefficientModel:
     r_at: Callable[[float], float] = field(repr=False, default=None)
     p_prime_at: Callable[[float], float] = field(repr=False, default=None)
     d_at: Callable[[float], float] = field(repr=False, default=None)  # the minimum function D
+    # d_closed at t, cached per node; it reads the model through a weak
+    # proxy, so the cache holds no cycle and dies with the model
+    d_closed_at: Callable[[float], float] = field(repr=False, default=None)
     # t_end -> the narrow active windows [(lo, hi), ...] up to t_end, or None
     windows: Callable[[float], list] | None = field(repr=False, default=None)
+    # label ("p", "q", "r", "p'") -> value of each coefficient without t in its tree
+    constants: dict = field(repr=False, default_factory=dict)
+    sign_report: SignReport | None = field(repr=False, default=None, compare=False)  # condition (a)
 
 
-def probe(
-    fns: Mapping[str, Callable[[float], float]],
-    t0: float,
-    n: int = VALIDATE_N,
-    extra: Sequence[float] = (),
-) -> list:
-    """Values of each labelled function at the jittered points over
-    [t0, t0 + PROBE_SPAN], then at the ``extra`` points.
+def probe(fns: Mapping[str, Callable[[float], float]], points: Sequence[float]) -> list:
+    """Values of each labelled function at ``points``.
 
     Returns one (t, values) row per point.  A domain error or a non-finite
     value is a ModelError that names the label and the point.
     """
     rows = []
-    for t in sample_points(t0, PROBE_SPAN, n).tolist() + list(extra):
+    for t in points:
         values = []
         for label, fn in fns.items():
             try:
@@ -115,10 +121,12 @@ def build_model(
     """Parse the three coefficient sources and differentiate p symbolically.
 
     ``d_src`` overrides the minimum function D, which is otherwise
-    ``d_closed``; ``windows`` maps t_end to the coefficients' narrow active
-    windows up to t_end.  The four resulting expressions and the override
-    are probed on a jittered grid over [t0, t0 + 1e4]; a non-finite
-    parameter, a domain error or a non-finite value is a ModelError.
+    ``d_closed``, cached per node as ``d_closed_at``; ``windows`` maps t_end
+    to the coefficients' narrow active windows up to t_end.  The four
+    resulting expressions and the override are probed on a jittered grid
+    over [t0, t0 + 1e4]; a non-finite parameter, a domain error or a
+    non-finite value is a ModelError.  Of the four, each without t in its
+    tree is recorded in ``constants`` with its value at the first point.
     """
     if not math.isfinite(t0):
         raise ModelError(f"t0={t0} is not finite")
@@ -140,12 +148,16 @@ def build_model(
     model.r_at = expr.compile_fn(r, params)
     model.p_prime_at = expr.compile_fn(p_prime, params)
     fns = {"p": model.p_at, "q": model.q_at, "r": model.r_at, "p'": model.p_prime_at}
+    proxy = weakref.proxy(model)
+    model.d_closed_at = functools.lru_cache(D_CACHE)(lambda t: d_closed(proxy, t))
     if d_src:
         model.d_at = fns["D"] = expr.compile_fn(expr.parse(d_src, names), params)
     else:
-        model.d_at = lambda t: d_closed(model, t)
+        model.d_at = model.d_closed_at
     model.windows = windows
-    probe(fns, model.t0)
+    first = probe(fns, sample_points(model.t0, PROBE_SPAN, VALIDATE_N).tolist())[0][1]
+    asts = {"p": p, "q": q, "r": r, "p'": p_prime}
+    model.constants = {label: v for (label, ast), v in zip(asts.items(), first) if expr.is_constant(ast)}
     return model
 
 
@@ -215,16 +227,17 @@ def d_oracle(model: CoefficientModel, t: float) -> float:
     return min(fmin, float(vals[k]), r)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionStatus:
     holds: bool
     witness_t: float | None  # first sampled violation, if any
     witness_value: float | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignReport:
-    """Sampled check of the sign hypotheses r(t) > 0 (strict) and q(t) <= 0."""
+    """Sampled check of the sign hypotheses r(t) > 0 (strict) and q(t) <= 0.
+    Frozen, because one report serves every theorem of a model."""
 
     holds: bool  # both hypotheses hold at every sample
     r_positive: ConditionStatus
@@ -234,20 +247,28 @@ class SignReport:
 
 
 def check_condition_a(model: CoefficientModel) -> SignReport:
-    r_stat = ConditionStatus(True, None, None)
-    q_stat = ConditionStatus(True, None, None)
-    for t in sample_points(model.t0, SIGN_SPAN, SIGN_N).tolist():
-        if r_stat.holds:
-            rv = model.r_at(t)
-            if not rv > 0.0:
-                r_stat = ConditionStatus(False, t, rv)
-        if q_stat.holds:
-            qv = model.q_at(t)
-            if qv > 0.0:
-                q_stat = ConditionStatus(False, t, qv)
-        if not r_stat.holds and not q_stat.holds:
-            break
-    return SignReport(r_stat.holds and q_stat.holds, r_stat, q_stat, SIGN_N, SIGN_SPAN)
+    """Condition (a) at SIGN_N jittered points over [t0, t0 + SIGN_SPAN],
+    each hypothesis up to its first violation; when q and r are both
+    constants, at the first point only.  The report is made once per model,
+    and every later call returns it."""
+    if model.sign_report is None:
+        pts = sample_points(model.t0, SIGN_SPAN, SIGN_N).tolist()
+        if "r" in model.constants and "q" in model.constants:
+            pts = pts[:1]
+        r_stat = q_stat = ConditionStatus(True, None, None)
+        for t in pts:
+            if r_stat.holds:
+                rv = model.r_at(t)
+                if not rv > 0.0:
+                    r_stat = ConditionStatus(False, t, rv)
+            if q_stat.holds:
+                qv = model.q_at(t)
+                if qv > 0.0:
+                    q_stat = ConditionStatus(False, t, qv)
+            if not r_stat.holds and not q_stat.holds:
+                break
+        model.sign_report = SignReport(r_stat.holds and q_stat.holds, r_stat, q_stat, SIGN_N, SIGN_SPAN)
+    return model.sign_report
 
 
 @dataclass
@@ -262,6 +283,8 @@ class SplitModel:
     p2: expr.ExprAst
     p1_at: Callable[[float], float] = field(repr=False, default=None)
     p2_at: Callable[[float], float] = field(repr=False, default=None)
+    # label ("p1", "p2") -> value of each part without t in its tree
+    constants: dict = field(repr=False, default_factory=dict)
 
 
 def make_split(
@@ -277,7 +300,9 @@ def make_split(
     window (lo, hi) of the model's up to t0 + PROBE_SPAN whose midpoint is
     above lo in double precision, so that a bump narrower than the probe
     spacing is not missed.  It requires p1 <= 0, p2 <= 0 (tolerance 1e-12) and
-    p1 + p2 = p_- to a relative tolerance of 1e-9.
+    p1 + p2 = p_- to a relative tolerance of 1e-9.  When p, p1 and p2 are
+    all constants only the first point is checked: each fact is the same
+    at every point.
     """
     names = tuple(model.params)
     if p1_src is None:
@@ -294,10 +319,17 @@ def make_split(
     split.p2_at = expr.compile_fn(p2, model.params)
     windows = model.windows(model.t0 + PROBE_SPAN) if model.windows else ()
     midpoints = [mid for lo, hi in windows if (mid := 0.5 * (lo + hi)) > lo]
-    for t, (v1, v2) in probe({"p1": split.p1_at, "p2": split.p2_at}, model.t0, SPLIT_N, midpoints):
+    points = sample_points(model.t0, PROBE_SPAN, SPLIT_N).tolist() + midpoints
+    p = model.constants.get("p")
+    parts = {"p1": p1, "p2": p2}
+    if p is not None and all(map(expr.is_constant, parts.values())):
+        points = points[:1]
+    rows = probe({"p1": split.p1_at, "p2": split.p2_at}, points)
+    for t, (v1, v2) in rows:
         if v1 > 1e-12 or v2 > 1e-12:
             raise ModelError(f"split parts must be nonpositive; violated at t={t:.6g}")
-        pm = p_minus(model, t)
+        pm = p_minus(model, t) if p is None else min(p, 0.0)
         if abs((v1 + v2) - pm) > 1e-9 * (1.0 + abs(pm)):
             raise ModelError(f"split does not reconstruct min(p, 0) at t={t:.6g}")
+    split.constants = {label: v for (label, ast), v in zip(parts.items(), rows[0][1]) if expr.is_constant(ast)}
     return split

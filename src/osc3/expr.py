@@ -532,6 +532,12 @@ def _t_free(node: Node) -> bool:
     return not isinstance(node, Var) and all(_t_free(c) for c in _children(node))
 
 
+def is_constant(ast: ExprAst) -> bool:
+    """True when ``t`` occurs nowhere in the tree, so that every evaluation
+    gives the same value or raises the same error."""
+    return _t_free(ast.root)
+
+
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
 

@@ -16,8 +16,12 @@ place that computes it: one call of the Gauss-Kronrod panel engine,
 one quadrature per grid point, and one ``SHORTFALL`` note when any pass
 stops at the depth cap.  The tests hold it to an outside reference
 quadrature at every grid point.  The criteria integrate the model's own D,
-``model.d_at``; Lazer's criterion is their p = 0 case and integrates
-``d_closed``, which there is r - (2/(3 sqrt 3)) (-q)^(3/2).
+``model.d_at``; Lazer's criterion is their p = 0 case and integrates the
+closed form, which there is r - (2/(3 sqrt 3)) (-q)^(3/2).  Without an
+override both read the model's ``d_closed_at``, which computes D once per
+node for every pass.  A term that is identically 0 because a coefficient
+is a constant (a p_- penalty when p >= 0, |p1| when p1 = 0) is not
+integrated: it would add exactly 0.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .coeffs import (
     CoefficientModel,
     SplitModel,
     check_condition_a,
-    d_closed,
     p_minus,
     sample_points,
 )
@@ -281,7 +284,10 @@ def criterion_kamenev(
     pts = grid.points()
     power = alpha if mode == THM33G else alpha + 1.0
     terms = [(1.0, model.d_at, power)]
-    if mode == THM31B:
+    p = model.constants.get("p")
+    if p is not None and p >= 0.0:
+        pass  # p_- is 0, and so is the penalty term
+    elif mode == THM31B:
         def pen_squared(tau):
             v = p_minus(model, tau)
             return v * v
@@ -313,7 +319,7 @@ def criterion_lazer(
     read.
     """
     pts = grid.points()
-    vals, warnings = _series(model, pts, [(1.0, lambda t: d_closed(model, t), 0)])
+    vals, warnings = _series(model, pts, [(1.0, model.d_closed_at, 0)])
     return CriterionTrajectory(LAZER, None, pts, vals, classify_limsup(vals, policy), warnings)
 
 
@@ -340,24 +346,32 @@ def check_33f(
     Integrability is judged by running int |p1| out to the horizon on a
     geometric grid and requiring the BOUNDED classification; boundedness of
     p2 samples the sup per decade and requires the last decade's sup not to
-    exceed the earlier ones by more than 5%.
+    exceed the earlier ones by more than 5%.  A constant p1 = 0 gives the
+    zero series, and a constant p2 = c the sup |c| in every decade.
     """
     model = split.base
     t0 = max(model.t0, 1e-6)
     ratio = 1.15
     count = max(int(math.ceil(math.log(horizon / t0) / math.log(ratio))) + 1, 16)
     grid = GeometricGrid(t0, ratio, count)
-    vals, warnings = _series(model, grid.points(), [(1.0, lambda t: abs(split.p1_at(t)), 0)])
+    if split.constants.get("p1") == 0.0:
+        vals, warnings = np.zeros(count), []
+    else:
+        vals, warnings = _series(model, grid.points(), [(1.0, lambda t: abs(split.p1_at(t)), 0)])
     verdict = classify_limsup(vals, policy)
     integrable_ok = verdict.kind == BOUNDED
 
     decades = max(int(math.ceil(math.log10(horizon / t0))), 1)
+    p2 = split.constants.get("p2")
     sups = []
     lo = t0
     for _ in range(decades):
         hi = min(lo * 10.0, horizon)
-        seg = sample_points(lo, span=hi - lo, n=256)
-        sups.append(float(np.max([abs(split.p2_at(t)) for t in seg])))
+        if p2 is None:
+            seg = sample_points(lo, span=hi - lo, n=256)
+            sups.append(float(np.max([abs(split.p2_at(t)) for t in seg])))
+        else:
+            sups.append(float(abs(p2)))
         lo = hi
     finite = all(math.isfinite(s) for s in sups)
     if len(sups) > 1:
@@ -416,6 +430,11 @@ class PZeroCheck:
 
 
 def _p_zero_check(model: CoefficientModel) -> PZeroCheck:
+    """The largest |p| at 512 jittered points over [t0, t0 + SIGN_SPAN],
+    where it is first reached, against 1e-9 (1 + max |q| + |r|).  A constant
+    p = 0 holds without sampling, with |p| = 0 reported at t0."""
+    if model.constants.get("p") == 0.0:
+        return PZeroCheck(True, 0.0, model.t0)
     probe = sample_points(model.t0, span=SIGN_SPAN, n=512)
     worst_t, worst = model.t0, 0.0
     scale = 1.0

@@ -16,8 +16,11 @@ Tolerances mix an absolute share, distributed by panel width, with a
 relative term, so both tiny and astronomically large integrals come out
 with ~9 correct digits.  A panel that misses the tolerance for any t_k it
 feeds is bisected.  It stops at ``MAX_DEPTH`` halvings of a panel between
-edges, or when a panel's halves show that rounding, not the rule, limits
-it; either way the result's ``warning`` flag is set.
+edges, when a panel's halves show that rounding, not the rule, limits it,
+or once the pass has made ``MAX_EVALS`` integrand calls; any of these sets
+the result's ``warning`` flag.  The budget bounds a pass whose integrand
+is rounding noise, which no tolerance and no roundoff test can pass: past
+it the panels already split are evaluated once more and none is bisected.
 
 Refinement runs a level at a time over runs of panels.  A run's nodes go
 to the integrand in one sweep, one float per call; its values, error
@@ -51,6 +54,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 MAX_DEPTH = 60
+MAX_EVALS = 2 ** 23  # integrand calls after which a pass bisects no panel
 # The roundoff test below is believed only on a panel already bisected this
 # many times: on a wide panel a good Kronrod value beside a poor Gauss one
 # can pass it by accident.
@@ -106,7 +110,8 @@ def integrate_adaptive(
 
     ``breakpoints`` are interior points where panels must split (feature
     edges, discontinuities of a derivative, bump boundaries).  The depth cap
-    turns into a ``warning`` flag on the result rather than an exception.
+    and the evaluation budget turn into a ``warning`` flag on the result
+    rather than an exception.
 
     With ``power`` m > -1, ``b`` is a nondecreasing sequence of right ends
     t_k >= a and the value is the array of int_a^{t_k} (t_k - tau)^m f(tau)
@@ -246,7 +251,7 @@ def integrate_adaptive(
             if not np.maximum.reduce(fail):
                 np.add.at(out, pe, vals)
                 continue
-            if depth >= MAX_DEPTH:
+            if depth >= MAX_DEPTH or evals >= MAX_EVALS:
                 warning = True
                 np.add.at(out, pe, vals)
                 continue

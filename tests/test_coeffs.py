@@ -1,12 +1,19 @@
 """Coefficient models, the closed-form minimum function, and its oracle."""
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import random_poly_model
 from osc3.coeffs import (
+    PROBE_SPAN,
+    SIGN_N,
+    SIGN_SPAN,
+    SPLIT_N,
     ModelError,
     build_model,
     check_condition_a,
@@ -87,6 +94,63 @@ class TestSignReport:
         assert not rep.r_positive.holds
         assert rep.r_positive.witness_value == 0.0
 
+    def test_constant_is_read_once_with_todays_witness(self):
+        # a constant fails first at the first sample, as the same value
+        # written with t does
+        first = float(sample_points(1.0, SIGN_SPAN, SIGN_N)[0])
+        const = check_condition_a(build_model("1", "1", "-1"))
+        with_t = check_condition_a(build_model("1", "1 + 0*t", "-1 + 0*t"))
+        assert const == with_t
+        assert const.r_positive.witness_t == const.q_nonpositive.witness_t == first
+
+    def test_report_is_made_once_per_model(self):
+        m = build_model("0", "-3*t^2", "2.5*t^3")
+        r_at, calls = m.r_at, []
+        m.r_at = lambda t: calls.append(t) or r_at(t)
+        reports = [check_condition_a(m) for _ in range(4)]
+        assert all(rep is reports[0] for rep in reports)
+        assert reports[0].holds
+        assert len(calls) == SIGN_N
+
+
+class TestModelFacts:
+    def test_constants_are_recorded(self):
+        m = build_model("0", "-a", "b*t^3", {"a": 3.0, "b": 2.0})
+        assert m.constants == {"p": 0.0, "q": -3.0, "p'": 0.0}
+        assert build_model("t", "0*t", "floor(2.5)").constants == {"p'": 1.0, "r": 2}
+
+    def test_cached_d_is_d_closed_once_per_node(self, monkeypatch):
+        import osc3.coeffs
+
+        m = build_model("0", "-3*t^2", "2.5*t^3")
+        calls = []
+        monkeypatch.setattr(osc3.coeffs, "d_closed", lambda model, t: calls.append(t) or d_closed(model, t))
+        for t in (2.0, 3.5, 2.0, 3.5):
+            assert m.d_closed_at(t) == m.d_at(t) == d_closed(m, t)
+        assert calls == [2.0, 3.5]
+        # an override is D; the closed form stays on d_closed_at
+        o = build_model("0", "-3*t^2", "2.5*t^3", d_src="t")
+        assert (o.d_at(2.0), o.d_closed_at(2.0)) == (2.0, d_closed(o, 2.0))
+
+    def test_model_holds_no_reference_cycle(self):
+        # the cached D reads the model through a weak proxy, so the model
+        # is freed by reference counting alone, after every theorem has
+        # read its facts
+        from osc3.kamenev import GeometricGrid, theorem_verdict
+
+        grid = GeometricGrid(1.0, 1.15, 20)
+        gc.disable()
+        try:
+            m = build_model("0", "-3*t^2", "2.5*t^3")
+            ref = weakref.ref(m)
+            split = make_split(m)
+            for theorem in ("THM31", "THM32", "THM33", "LAZER"):
+                theorem_verdict(split if theorem == "THM33" else m, theorem, grid=grid)
+            del m, split
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestMinimumFunction:
     def test_pure_r(self):
@@ -163,6 +227,30 @@ class TestSplit:
         for p1 in ("floor(t*9e307*9)", "t*9e307*9*0"):  # OverflowError, then NaN
             with pytest.raises(ModelError):
                 make_split(m, p1, "0")
+
+    @pytest.mark.parametrize("p, p1, p2, message", [
+        ("0", "1", "0", "split parts must be nonpositive; violated at t={}"),
+        ("0", "-1", "0", "split does not reconstruct min(p, 0) at t={}"),
+        ("-2", "-1", "-0.5", "split does not reconstruct min(p, 0) at t={}"),
+        ("0", "1/0", "0", "p1 undefined at t={}: division by zero at t={!r}"),
+        ("0", "0", "9e307*9", "p2 is not finite at t={}"),
+    ])
+    def test_constant_split_is_checked_once_with_todays_error(self, p, p1, p2, message):
+        # with p, p1 and p2 constant only the first probe point is checked,
+        # where the full probe fails first
+        first = float(sample_points(1.0, PROBE_SPAN, SPLIT_N)[0])
+        text = message.format(f"{first:.6g}", first)
+        with pytest.raises(ModelError) as const:
+            make_split(build_model(p, "0", "1"), p1, p2)
+        assert str(const.value) == text
+        with pytest.raises(ModelError) as with_t:
+            make_split(build_model(f"{p} + 0*t", "0", "1"), p1, p2)
+        assert str(with_t.value) == text
+
+    def test_split_records_its_constants(self):
+        sp = make_split(build_model("-2", "0", "1"))
+        assert sp.constants == {"p1": 0.0, "p2": -2.0}
+        assert make_split(build_model("-t", "0", "1")).constants == {"p1": 0.0}
 
     def test_split_of_sign_changing_p_tracks_negative_part(self):
         m = build_model("sin(t)", "0", "1")

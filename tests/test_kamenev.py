@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from osc3.coeffs import build_model, make_split
+from osc3.coeffs import SIGN_N, build_model, make_split, p_minus
 from osc3.fixtures import get_fixture
 from osc3.kamenev import (
     APPLIES,
@@ -22,6 +22,7 @@ from osc3.kamenev import (
     THM33G,
     GeometricGrid,
     LimsupPolicy,
+    _series,
     check_33f,
     classify_bounded_below,
     classify_limsup,
@@ -270,9 +271,8 @@ class TestCheck33f:
     def test_last_decade_reaches_the_horizon(self):
         # from t0 = 0.5 the decades end at 5, 50, 500, 5000 and 1e4, so a
         # p2 that only turns on past 6000 is seen in the last one
-        m = build_model("0", "0", "1", t0=0.5)
-        sp = make_split(m)
-        sp.p2_at = lambda t: 0.0 if t <= 6000.0 else -1.0
+        p2 = "if(t <= 6000, 0, -1)"
+        sp = make_split(build_model(p2, "0", "1", t0=0.5), "0", p2)
         rep = check_33f(sp, 1e4)
         assert len(rep.sup_by_decade) == 5
         assert rep.sup_by_decade[-1] == 1.0
@@ -283,6 +283,73 @@ class TestCheck33f:
         sp = fx.build_split(fx.build())
         rep = check_33f(sp, 200.0)
         assert rep.holds
+
+
+class TestOneEvaluationPerFact:
+    """Constant coefficients are read once, not integrated, and D is
+    computed once per node; the shortcuts give the full path's bits."""
+
+    @pytest.mark.parametrize("p, q, r", [("0", "-3*t^2", "2.5*t^3"), ("0", "-t", "t^1.5"), ("2", "-1", "3")])
+    @pytest.mark.parametrize("mode, alpha", [(THM31B, 1.5), (THM31B, 1.0), (THM32D, 1.5)])
+    def test_penalty_of_a_constant_p_at_least_zero_adds_exactly_nothing(self, p, q, r, mode, alpha):
+        m = build_model(p, q, r)
+        pts = GRID.points()
+        power = alpha + 1.0
+        if mode == THM31B:
+            penalty = (-power / 9.0, lambda tau: p_minus(m, tau) ** 2, alpha)
+        else:
+            penalty = (-power, lambda tau: p_minus(m, tau), alpha)
+        vals, warnings = _series(m, pts, [(1.0, m.d_at, power), penalty])
+        got = criterion_kamenev(m, alpha, mode, GRID)
+        assert got.values.tobytes() == (vals / pts ** power).tobytes()
+        assert got.warnings == warnings == []
+
+    @pytest.mark.parametrize("p", ["0", "-2", "3"])
+    def test_constant_split_parts_are_read_once(self, p):
+        # the default split p1 = 0, p2 = min(p, 0) of a constant p against
+        # the |p1| series and the sampled sups of the same split
+        sp = make_split(build_model(p, "0", "1", t0=0.5))
+        assert sp.constants == {"p1": 0.0, "p2": min(float(p), 0.0)}
+        rep = check_33f(sp, 1e4)
+        assert rep == check_33f(dataclasses.replace(sp, constants={}), 1e4)
+        assert rep.sup_by_decade == [abs(min(float(p), 0.0))] * 5
+        assert rep.integral_tail == 0.0
+
+    def test_one_sweep_point_evaluates_each_fact_once(self, monkeypatch, tmp_path):
+        # one lazer-sweep point at alpha 1.5 on 40 grid points, every
+        # theorem: six passes read D at 2,301 distinct nodes, each once;
+        # p_- is never formed; condition (a) samples r once for the model
+        import osc3.coeffs
+        import osc3.kamenev
+        from osc3.cli import main
+
+        nodes = []
+        d_closed = osc3.coeffs.d_closed
+        monkeypatch.setattr(osc3.coeffs, "d_closed", lambda model, t: nodes.append(t) or d_closed(model, t))
+
+        def no_p_minus(model, t):
+            raise AssertionError("p_minus called")
+
+        for module in (osc3.coeffs, osc3.kamenev):
+            monkeypatch.setattr(module, "p_minus", no_p_minus)
+        sign_reads = []
+        check = osc3.coeffs.check_condition_a
+
+        def counted_check(model):
+            r_at = model.r_at
+            model.r_at = lambda t: sign_reads.append(t) or r_at(t)
+            try:
+                return check(model)
+            finally:
+                model.r_at = r_at
+
+        monkeypatch.setattr(osc3.kamenev, "check_condition_a", counted_check)
+        argv = ["sweep", "--p", "0", "--q", "-a*t^2", "--r", "b*t^3", "--param", "a=3", "--sweep", "b=1.7:1.7:1",
+                "--theorem", "all", "--alpha", "1.5", "--grid-count", "40", "--tmax", "20",
+                "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        assert len(nodes) == len(set(nodes)) == 2301
+        assert len(sign_reads) == SIGN_N
 
 
 class TestShortfall:

@@ -293,6 +293,21 @@ class TestWeightedSeries:
         assert res.evals == spike.calls
         assert res.value[0] == pytest.approx(math.pi / 2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("m", [0.0, 2.5])
+    def test_evaluation_budget_ends_a_noise_pass(self, monkeypatch, m):
+        # at b = 2 the D of p = 0, q = -3 t^2, r = b t^3 is 2 t^3 - 2 t^3,
+        # rounding noise that no tolerance and no roundoff test passes;
+        # the budget stops the bisection, and the panels already split are
+        # evaluated once more
+        model = build_model("0", "-3*t^2", "2*t^3")
+        pts = GeometricGrid(1.0, 1.15, 40).points()
+        monkeypatch.setattr(quad, "MAX_EVALS", 10_000)
+        noise = _Counted(model.d_at)
+        res = integrate_adaptive(noise, 1.0, pts, DEFAULT_TOL, power=m)
+        assert res.warning
+        assert 10_000 <= res.evals == noise.calls <= 20_000
+        assert np.all(np.abs(res.value) <= 1e-14 * pts ** (m + 4.0))
+
     def test_right_ends_at_a_give_zero(self):
         res = integrate_adaptive(lambda tau: 1.0, 2.0, [2.0, 2.0, 3.0], power=0.5)
         assert res.value[:2].tolist() == [0.0, 0.0]
