@@ -511,7 +511,7 @@ def main(argv=None) -> int:
         # str() of a KeyError is the repr of its message, quotes included
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,10 @@ p', bound parameter values and the left endpoint t0, with the two facts
 about the equation that every consumer shares: its minimum function D
 (``d_at``: an override, or ``d_closed``) and the narrow active windows of
 its coefficients (``windows``), where quadrature panels split and integrator
-steps shorten.  It also records which coefficients are constants, whose
-one value is read instead of samples, and caches what is asked for again:
-the closed-form D at each node and the report of condition (a).  On top
+steps shorten.  It also records which coefficients are constants, and
+caches what is asked for again: the closed-form D at each node and the
+report of condition (a).  Every sampled hypothesis reads its functions
+through ``probe``, which evaluates a constant once.  On top
 of it live the pointwise quantities the averaged oscillation criteria
 consume:
 
@@ -31,7 +32,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from . import expr
 _GOLDEN_FRAC = 0.6180339887498949  # (sqrt(5) - 1) / 2
 PROBE_SPAN = 1e4  # probe samples [t0, t0 + PROBE_SPAN] ...
 VALIDATE_N = 256  # ... at this many points for build_model and a D override
-SPLIT_N = 1024  # make_split probes p1, p2 and their sum at this many points
+SPLIT_N = 1024  # make_split probes p1, p2 and p at this many points
 SIGN_SPAN = 1e4  # condition (a) and p == 0 are sampled on [t0, t0 + SIGN_SPAN] ...
 SIGN_N = 1024  # ... and condition (a) at this many points
 ORACLE_N_GRID = 1000  # d_oracle scans this many cells of [0, u_max] ...
@@ -52,7 +53,7 @@ class ModelError(ValueError):
     pass
 
 
-def sample_points(t0: float, span: float = 1e4, n: int = 1024) -> np.ndarray:
+def sample_points(t0: float, span: float, n: int) -> np.ndarray:
     """Deterministic jittered sample grid on [t0, t0 + span].
 
     Stratified points with a golden-ratio offset inside each cell: low
@@ -82,31 +83,42 @@ class CoefficientModel:
     d_closed_at: Callable[[float], float] = field(repr=False, default=None)
     # t_end -> the narrow active windows [(lo, hi), ...] up to t_end, or None
     windows: Callable[[float], list] | None = field(repr=False, default=None)
-    # label ("p", "q", "r", "p'") -> value of each coefficient without t in its tree
+    # label ("p", "q", "r", "p'", "D") -> value of each without t in its tree
     constants: dict = field(repr=False, default_factory=dict)
     sign_report: SignReport | None = field(repr=False, default=None, compare=False)  # condition (a)
 
 
-def probe(fns: Mapping[str, Callable[[float], float]], points: Sequence[float]) -> list:
-    """Values of each labelled function at ``points``.
+def probe(
+    fns: Mapping[str, Callable[[float], float]], points: Sequence[float], constants: Collection[str] = ()
+) -> np.ndarray:
+    """Values of each labelled function at ``points``, one column per label.
 
-    Returns one (t, values) row per point.  A domain error or a non-finite
-    value is a ModelError that names the label and the point.
+    A label in ``constants`` is evaluated once, at the first point, and
+    fills its column; every other column is one sweep over the points.  A
+    domain error or a non-finite value is a ModelError that names the first
+    bad point and, at that point, the first bad label.
     """
-    rows = []
-    for t in points:
-        values = []
-        for label, fn in fns.items():
+    n = len(points)
+    out = np.empty((n, len(fns)))
+    try:
+        for j, (label, fn) in enumerate(fns.items()):
+            out[:, j] = fn(points[0]) if label in constants else np.fromiter(map(fn, points), float, n)
+        if np.isfinite(out).all():
+            return out
+    except (ArithmeticError, ValueError):
+        pass
+    # something failed: walk the rows in order to name it
+    for i, t in enumerate(points):
+        for j, (label, fn) in enumerate(fns.items()):
             try:
-                v = fn(t)
+                v = float(fn(t))
             except (ArithmeticError, ValueError) as exc:
                 # ExprError, or what floor/sin/cos raise on an inf or nan argument
                 raise ModelError(f"{label} undefined at t={t:.6g}: {exc}") from exc
             if not math.isfinite(v):
                 raise ModelError(f"{label} is not finite at t={t:.6g}")
-            values.append(v)
-        rows.append((t, values))
-    return rows
+            out[i, j] = v
+    return out
 
 
 def build_model(
@@ -125,8 +137,8 @@ def build_model(
     to the coefficients' narrow active windows up to t_end.  The four
     resulting expressions and the override are probed on a jittered grid
     over [t0, t0 + 1e4]; a non-finite parameter, a domain error or a
-    non-finite value is a ModelError.  Of the four, each without t in its
-    tree is recorded in ``constants`` with its value at the first point.
+    non-finite value is a ModelError.  Each of the five without t in its
+    tree is evaluated once and recorded in ``constants``.
     """
     if not math.isfinite(t0):
         raise ModelError(f"t0={t0} is not finite")
@@ -143,21 +155,20 @@ def build_model(
         raise ModelError(f"cannot parse coefficients: {exc}") from exc
     p_prime = expr.differentiate(p)
     model = CoefficientModel(p, q, r, p_prime, params, float(t0))
-    model.p_at = expr.compile_fn(p, params)
-    model.q_at = expr.compile_fn(q, params)
-    model.r_at = expr.compile_fn(r, params)
-    model.p_prime_at = expr.compile_fn(p_prime, params)
-    fns = {"p": model.p_at, "q": model.q_at, "r": model.r_at, "p'": model.p_prime_at}
+    asts = {"p": p, "q": q, "r": r, "p'": p_prime}
+    fns = {label: expr.compile_fn(ast, params) for label, ast in asts.items()}
+    model.p_at, model.q_at, model.r_at, model.p_prime_at = fns.values()
     proxy = weakref.proxy(model)
     model.d_closed_at = functools.lru_cache(D_CACHE)(lambda t: d_closed(proxy, t))
     if d_src:
-        model.d_at = fns["D"] = expr.compile_fn(expr.parse(d_src, names), params)
+        asts["D"] = expr.parse(d_src, names)
+        model.d_at = fns["D"] = expr.compile_fn(asts["D"], params)
     else:
         model.d_at = model.d_closed_at
     model.windows = windows
-    first = probe(fns, sample_points(model.t0, PROBE_SPAN, VALIDATE_N).tolist())[0][1]
-    asts = {"p": p, "q": q, "r": r, "p'": p_prime}
-    model.constants = {label: v for (label, ast), v in zip(asts.items(), first) if expr.is_constant(ast)}
+    constants = [label for label, ast in asts.items() if expr.is_constant(ast)]
+    first = probe(fns, sample_points(model.t0, PROBE_SPAN, VALIDATE_N).tolist(), constants)[0]
+    model.constants = {label: float(v) for label, v in zip(fns, first) if label in constants}
     return model
 
 
@@ -246,27 +257,22 @@ class SignReport:
     span: float
 
 
+def _first_violation(pts: list, values: np.ndarray, bad: np.ndarray) -> ConditionStatus:
+    if not bad.any():
+        return ConditionStatus(True, None, None)
+    k = int(np.argmax(bad))
+    return ConditionStatus(False, pts[k], float(values[k]))
+
+
 def check_condition_a(model: CoefficientModel) -> SignReport:
     """Condition (a) at SIGN_N jittered points over [t0, t0 + SIGN_SPAN],
-    each hypothesis up to its first violation; when q and r are both
-    constants, at the first point only.  The report is made once per model,
-    and every later call returns it."""
+    each hypothesis witnessed by its first violation.  The report is made
+    once per model, and every later call returns it."""
     if model.sign_report is None:
         pts = sample_points(model.t0, SIGN_SPAN, SIGN_N).tolist()
-        if "r" in model.constants and "q" in model.constants:
-            pts = pts[:1]
-        r_stat = q_stat = ConditionStatus(True, None, None)
-        for t in pts:
-            if r_stat.holds:
-                rv = model.r_at(t)
-                if not rv > 0.0:
-                    r_stat = ConditionStatus(False, t, rv)
-            if q_stat.holds:
-                qv = model.q_at(t)
-                if qv > 0.0:
-                    q_stat = ConditionStatus(False, t, qv)
-            if not r_stat.holds and not q_stat.holds:
-                break
+        r, q = probe({"r": model.r_at, "q": model.q_at}, pts, model.constants).T
+        r_stat = _first_violation(pts, r, r <= 0.0)
+        q_stat = _first_violation(pts, q, q > 0.0)
         model.sign_report = SignReport(r_stat.holds and q_stat.holds, r_stat, q_stat, SIGN_N, SIGN_SPAN)
     return model.sign_report
 
@@ -295,14 +301,13 @@ def make_split(
     """Build and validate a split of p_-.
 
     Defaults to the trivial split p1 = 0, p2 = min(p, 0), which is valid
-    whenever p_- itself is bounded.  Validation probes p1 and p2 like the
+    whenever p_- itself is bounded.  Validation probes p1, p2 and p like the
     coefficients, at SPLIT_N points and then at the midpoint of every
     window (lo, hi) of the model's up to t0 + PROBE_SPAN whose midpoint is
     above lo in double precision, so that a bump narrower than the probe
     spacing is not missed.  It requires p1 <= 0, p2 <= 0 (tolerance 1e-12) and
-    p1 + p2 = p_- to a relative tolerance of 1e-9.  When p, p1 and p2 are
-    all constants only the first point is checked: each fact is the same
-    at every point.
+    p1 + p2 = p_- to a relative tolerance of 1e-9, and names the first point
+    where either fails, the signs first.
     """
     names = tuple(model.params)
     if p1_src is None:
@@ -320,16 +325,17 @@ def make_split(
     windows = model.windows(model.t0 + PROBE_SPAN) if model.windows else ()
     midpoints = [mid for lo, hi in windows if (mid := 0.5 * (lo + hi)) > lo]
     points = sample_points(model.t0, PROBE_SPAN, SPLIT_N).tolist() + midpoints
-    p = model.constants.get("p")
-    parts = {"p1": p1, "p2": p2}
-    if p is not None and all(map(expr.is_constant, parts.values())):
-        points = points[:1]
-    rows = probe({"p1": split.p1_at, "p2": split.p2_at}, points)
-    for t, (v1, v2) in rows:
-        if v1 > 1e-12 or v2 > 1e-12:
-            raise ModelError(f"split parts must be nonpositive; violated at t={t:.6g}")
-        pm = p_minus(model, t) if p is None else min(p, 0.0)
-        if abs((v1 + v2) - pm) > 1e-9 * (1.0 + abs(pm)):
-            raise ModelError(f"split does not reconstruct min(p, 0) at t={t:.6g}")
-    split.constants = {label: v for (label, ast), v in zip(parts.items(), rows[0][1]) if expr.is_constant(ast)}
+    parts = [label for label, ast in (("p1", p1), ("p2", p2)) if expr.is_constant(ast)]
+    fns = {"p1": split.p1_at, "p2": split.p2_at, "p": model.p_at}
+    vals = probe(fns, points, [*parts, *model.constants])
+    v1, v2, p = vals.T
+    pm = np.minimum(p, 0.0)
+    sign_bad = (v1 > 1e-12) | (v2 > 1e-12)
+    bad = sign_bad | (np.abs((v1 + v2) - pm) > 1e-9 * (1.0 + np.abs(pm)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if sign_bad[k]:
+            raise ModelError(f"split parts must be nonpositive; violated at t={points[k]:.6g}")
+        raise ModelError(f"split does not reconstruct min(p, 0) at t={points[k]:.6g}")
+    split.constants = {label: float(vals[0, j]) for j, label in enumerate(fns) if label in parts}
     return split

@@ -39,6 +39,7 @@ from .coeffs import (
     SplitModel,
     check_condition_a,
     p_minus,
+    probe,
     sample_points,
 )
 from .quad import integrate_adaptive
@@ -225,10 +226,12 @@ def _series(model: CoefficientModel, pts: np.ndarray, terms) -> tuple:
     """The sum over ``terms`` (c, g, m) of c int_{t0}^{t_k} (t_k - tau)^m g(tau)
     dtau at every grid point t_k, one engine pass per term in order, and
     its warnings: ``[SHORTFALL]`` when any pass stopped at the depth cap.
-    Panels split at the edges of the model's windows up to the last t_k."""
+    Panels split at the edges of the model's windows up to the last t_k,
+    leaving out a window that double precision holds as a single point."""
     if pts[0] < model.t0:
         raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
-    edges = [x for pair in model.windows(float(pts[-1])) for x in pair] if model.windows else None
+    windows = model.windows(float(pts[-1])) if model.windows else ()
+    edges = [x for lo, hi in windows if lo < hi for x in (lo, hi)]
     passes = [integrate_adaptive(g, model.t0, pts, TOL, breakpoints=edges, power=m) for _, g, m in terms]
     parts = [c * res.value for (c, _, _), res in zip(terms, passes)]
     short = any(res.warning for res in passes)
@@ -347,7 +350,7 @@ def check_33f(
     geometric grid and requiring the BOUNDED classification; boundedness of
     p2 samples the sup per decade and requires the last decade's sup not to
     exceed the earlier ones by more than 5%.  A constant p1 = 0 gives the
-    zero series, and a constant p2 = c the sup |c| in every decade.
+    zero series.
     """
     model = split.base
     t0 = max(model.t0, 1e-6)
@@ -362,24 +365,15 @@ def check_33f(
     integrable_ok = verdict.kind == BOUNDED
 
     decades = max(int(math.ceil(math.log10(horizon / t0))), 1)
-    p2 = split.constants.get("p2")
-    sups = []
+    segments = []
     lo = t0
     for _ in range(decades):
         hi = min(lo * 10.0, horizon)
-        if p2 is None:
-            seg = sample_points(lo, span=hi - lo, n=256)
-            sups.append(float(np.max([abs(split.p2_at(t)) for t in seg])))
-        else:
-            sups.append(float(abs(p2)))
+        segments.append(sample_points(lo, hi - lo, 256))
         lo = hi
-    finite = all(math.isfinite(s) for s in sups)
-    if len(sups) > 1:
-        prev_max = max(sups[:-1])
-        stable = sups[-1] <= 1.05 * prev_max + 1e-12
-    else:
-        stable = True
-    bounded_ok = finite and stable
+    p2 = probe({"p2": split.p2_at}, np.concatenate(segments), split.constants)
+    sups = np.abs(p2).reshape(decades, 256).max(axis=1).tolist()
+    bounded_ok = len(sups) == 1 or sups[-1] <= 1.05 * max(sups[:-1]) + 1e-12
     return Check33fReport(
         integrable_ok and bounded_ok,
         integrable_ok,
@@ -431,19 +425,17 @@ class PZeroCheck:
 
 def _p_zero_check(model: CoefficientModel) -> PZeroCheck:
     """The largest |p| at 512 jittered points over [t0, t0 + SIGN_SPAN],
-    where it is first reached, against 1e-9 (1 + max |q| + |r|).  A constant
-    p = 0 holds without sampling, with |p| = 0 reported at t0."""
-    if model.constants.get("p") == 0.0:
+    where it is first reached, against 1e-9 (1 + max |q| + |r|).  A p that
+    vanishes at every point holds, with |p| = 0 reported at t0, and q and r
+    are not read."""
+    pts = sample_points(model.t0, SIGN_SPAN, 512).tolist()
+    p = np.abs(probe({"p": model.p_at}, pts, model.constants)[:, 0])
+    k = int(np.argmax(p))
+    if p[k] == 0.0:
         return PZeroCheck(True, 0.0, model.t0)
-    probe = sample_points(model.t0, span=SIGN_SPAN, n=512)
-    worst_t, worst = model.t0, 0.0
-    scale = 1.0
-    for t in probe.tolist():
-        v = abs(model.p_at(t))
-        scale = max(scale, abs(model.q_at(t)) + abs(model.r_at(t)))
-        if v > worst:
-            worst, worst_t = v, t
-    return PZeroCheck(worst <= 1e-9 * (1.0 + scale), worst, worst_t)
+    q, r = probe({"q": model.q_at, "r": model.r_at}, pts, model.constants).T
+    scale = max(1.0, float(np.max(np.abs(q) + np.abs(r))))
+    return PZeroCheck(bool(p[k] <= 1e-9 * (1.0 + scale)), float(p[k]), pts[k])
 
 
 def theorem_verdict(

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coeffs import CoefficientModel
+from .coeffs import CoefficientModel, probe
 from .ode import BLOW_UP, COMPLETED, STEP_UNDERFLOW, OdeControls, Trajectory, _dopri
 from .quad import integrate_adaptive
 
@@ -157,9 +157,7 @@ def riccati2_residual(
     ph = phi[idx]
     dph = traj.states[idx, 1]
     ddph = traj.states[idx, 2]
-    p = np.array([model.p_at(t) for t in t_sel])
-    q = np.array([model.q_at(t) for t in t_sel])
-    r = np.array([model.r_at(t) for t in t_sel])
+    p, q, r = probe({"p": model.p_at, "q": model.q_at, "r": model.r_at}, t_sel, model.constants).T
     dddph = -(p * ddph + q * dph + r * ph)
     y = dph / ph
     yp = ddph / ph - y * y
@@ -224,8 +222,9 @@ def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eta_residual_check(name, eta, prob, grid, eta_tol):
-    """Sample eta' + f eta^2 + g eta + h and require it >= -tol pointwise.
+def _eta_residual_check(k, eta, prob, grid, eta_tol):
+    """Sample eta_k' + f_k eta_k^2 + g_k eta_k + h_k and require it >= -tol
+    pointwise; the first violation is an error.
 
     eta' comes from a central difference, so the check screens for
     qualitatively wrong comparison functions rather than certifying the
@@ -233,24 +232,28 @@ def _eta_residual_check(name, eta, prob, grid, eta_tol):
     trajectory carries noise around 1e-12 per evaluation and the step and
     tolerance are sized so that survives.
     """
-    worst = math.inf
-    worst_t = grid[0]
-    span = grid[-1] - grid[0]
-    dh = max(1e-5 * span, 1e-8)
-    for t in grid:
-        e0 = eta(t)
-        d_eta = (eta(t + dh) - eta(t - dh)) / (2.0 * dh)
-        f, g, h = prob.f_at(t), prob.g_at(t), prob.h_at(t)
-        res = d_eta + f * e0 * e0 + g * e0 + h
-        tol = eta_tol * (1.0 + abs(f * e0 * e0) + abs(g * e0) + abs(h) + abs(d_eta))
-        if res + tol < worst:
-            worst = res + tol
-            worst_t = t
-        if res < -tol:
-            raise ComparisonPreconditionError(
-                name, f"inequality residual {res:.3e} < -{tol:.1e} at t={t:.6g}"
-            )
-    return {"ok": True, "min_residual_margin": worst, "at": float(worst_t)}
+    dh = max(1e-5 * (grid[-1] - grid[0]), 1e-8)
+    fns = {
+        f"eta{k}": eta,
+        f"eta{k}(t+dh)": lambda t: eta(t + dh),
+        f"eta{k}(t-dh)": lambda t: eta(t - dh),
+        f"f{k}": prob.f_at,
+        f"g{k}": prob.g_at,
+        f"h{k}": prob.h_at,
+    }
+    e0, up, down, f, g, h = probe(fns, grid).T
+    d_eta = (up - down) / (2.0 * dh)
+    res = d_eta + f * e0 * e0 + g * e0 + h
+    tol = eta_tol * (1.0 + np.abs(f * e0 * e0) + np.abs(g * e0) + np.abs(h) + np.abs(d_eta))
+    viol = np.nonzero(res < -tol)[0]
+    if len(viol):
+        i = viol[0]
+        raise ComparisonPreconditionError(
+            f"eta{k}_inequality", f"inequality residual {res[i]:.3e} < -{tol[i]:.1e} at t={grid[i]:.6g}"
+        )
+    margin = res + tol
+    i = int(np.argmin(margin))
+    return {"ok": True, "min_residual_margin": float(margin[i]), "at": float(grid[i])}
 
 
 def comparison_check(
@@ -294,23 +297,24 @@ def comparison_check(
     if t_hi <= t0:
         raise ValueError("empty comparison window: a solution escaped immediately")
     grid = np.linspace(t0, t_hi, n_grid)
+    fns = {"f1": prob1.f_at, "g1": prob1.g_at, "h1": prob1.h_at, "f2": prob2.f_at, "g2": prob2.g_at,
+           "h2": prob2.h_at, "eta1": eta1_fn, "eta2": eta2_fn}
+    f1, g1, h1, f2, g2, h2, e1, e2 = probe(fns, grid).T
 
     preconditions = {}
     # f1 >= 0 sampled
-    f1_vals = np.array([prob1.f_at(t) for t in grid])
-    if np.any(f1_vals < -1e-12):
-        k = int(np.argmin(f1_vals))
-        raise ComparisonPreconditionError("f1_nonnegative", f"f1({grid[k]:.6g}) = {f1_vals[k]:.3e}")
-    preconditions["f1_nonnegative"] = {"ok": True, "min": float(np.min(f1_vals))}
+    if np.any(f1 < -1e-12):
+        k = int(np.argmin(f1))
+        raise ComparisonPreconditionError("f1_nonnegative", f"f1({grid[k]:.6g}) = {f1[k]:.3e}")
+    preconditions["f1_nonnegative"] = {"ok": True, "min": float(np.min(f1))}
 
     y2_t0 = float(y2.states[0, 0])
-    for name, fn in (("eta1", eta1_fn), ("eta2", eta2_fn)):
-        v0 = fn(t0)
+    for name, v0 in (("eta1", e1[0]), ("eta2", e2[0])):
         if y2_t0 > v0 + 1e-12 * (1.0 + abs(v0)):
             raise ComparisonPreconditionError(
                 f"{name}_initial", f"y2(t0)={y2_t0:.6g} exceeds {name}(t0)={v0:.6g}"
             )
-    eta1_t0 = eta1_fn(t0)
+    eta1_t0 = e1[0]
     if not (y2_t0 - 1e-12 * (1.0 + abs(y2_t0)) <= gamma <= eta1_t0 + 1e-12 * (1.0 + abs(eta1_t0))):
         raise ComparisonPreconditionError(
             "gamma_range", f"gamma={gamma:.6g} outside [y2(t0), eta1(t0)] = [{y2_t0:.6g}, {eta1_t0:.6g}]"
@@ -318,22 +322,15 @@ def comparison_check(
     preconditions["gamma_range"] = {"ok": True, "low": y2_t0, "high": float(eta1_t0)}
 
     eta_grid = np.linspace(t0, t_hi, ETA_CHECK_POINTS)
-    preconditions["eta1_inequality"] = _eta_residual_check(
-        "eta1_inequality", eta1_fn, prob1, eta_grid, ETA_CHECK_TOL
-    )
-    preconditions["eta2_inequality"] = _eta_residual_check(
-        "eta2_inequality", eta2_fn, prob2, eta_grid, ETA_CHECK_TOL
-    )
+    for k, eta, prob in ((1, eta1_fn, prob1), (2, eta2_fn, prob2)):
+        preconditions[f"eta{k}_inequality"] = _eta_residual_check(k, eta, prob, eta_grid, ETA_CHECK_TOL)
 
     # weighted hypothesis trace along the grid
-    w = np.array([prob1.f_at(t) * (eta1_fn(t) + eta2_fn(t)) + prob1.g_at(t) for t in grid])
-    expo = _cumtrapz(grid, w)
+    expo = _cumtrapz(grid, f1 * (e1 + e2) + g1)
     y2_vals = np.array([y2.at(t)[0] for t in grid])
-    df = np.array([prob2.f_at(t) - prob1.f_at(t) for t in grid])
-    dg = np.array([prob2.g_at(t) - prob1.g_at(t) for t in grid])
-    dhh = np.array([prob2.h_at(t) - prob1.h_at(t) for t in grid])
+    df = f2 - f1
     f_term = df**2 if variant == AS_WRITTEN else df
-    integrand = np.exp(expo) * (f_term * y2_vals**2 + dg * y2_vals + dhh)
+    integrand = np.exp(expo) * (f_term * y2_vals**2 + (g2 - g1) * y2_vals + (h2 - h1))
     trace = gamma - y2_t0 + _cumtrapz(grid, integrand)
     hyp_min = float(np.min(trace))
     hyp_tol = 1e-9 * (1.0 + float(np.max(np.abs(trace))))

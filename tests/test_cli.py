@@ -329,6 +329,9 @@ class TestErrorPaths:
             # p1 = p2 = 0 passes every jittered probe point but misses each bump of p_-
             ["check", "--fixture", "example32", "--theorem", "thm33", "--grid-count", "17",
              "--split-p1", "0", "--split-p2", "0"],
+            # finite over the probe span, infinite in the quadrature past t = 1.008e4
+            ["check", "--p", "0", "--q", "0", "--r", f"1 + 0*floor({'*'.join(['t'] * 77)})",
+             "--grid-count", "70"],
         ],
     )
     def test_config_errors_return_2(self, argv, capsys):
@@ -385,6 +388,30 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and all(name in err for name in names)
         assert "Traceback" not in err
+
+    # T = 4890.013948864232 and 4675.378072265133 are a condition (a) and a
+    # split sample point, and a p = 0 sample point, far from every point of
+    # the model's probe: each once ended in a traceback or an unlabelled error
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--p", "0", "--q", "0", "--theorem", "thm31", "--grid-count", "16", "--r",
+              f"if(abs(t - 4890.013948864232) < 1e-6, floor({'*'.join(['t'] * 120)}), 1)"],
+             "r undefined at t=4890.01: cannot convert float infinity to integer"),
+            (["check", "--p", "ln(if(abs(t - 4675.378072265133) < 1e-6, -1, 1))", "--q", "0", "--r", "1",
+              "--theorem", "lazer", "--grid-count", "16"],
+             "p undefined at t=4675.38: ln(-1.0) undefined"),
+            (["check", "--p", "ln(if(abs(t - 4890.013948864232) < 1e-6, -1, 1)) - 1", "--q", "0", "--r", "1",
+              "--split-p1", "-1", "--split-p2", "0", "--theorem", "thm33", "--grid-count", "16"],
+             "p undefined at t=4890.01: ln(-1.0) undefined"),
+            # the first bad point, not the first bad label: p fails only past 5000
+            (["check", "--p", "ln(5000 - t)", "--q", "ln(2000 - t)", "--r", "1"],
+             "q undefined at t=2061.77: ln(-61.773492333766626) undefined"),
+        ],
+    )
+    def test_a_bad_sample_names_its_label_and_point(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_sources(self, capsys):
         # no fixture and no p/q/r

@@ -14,6 +14,7 @@ from osc3.coeffs import (
     SIGN_N,
     SIGN_SPAN,
     SPLIT_N,
+    VALIDATE_N,
     ModelError,
     build_model,
     check_condition_a,
@@ -22,6 +23,7 @@ from osc3.coeffs import (
     d_oracle,
     make_split,
     p_minus,
+    probe,
     sample_points,
 )
 
@@ -75,6 +77,58 @@ class TestSamplePoints:
         assert len(np.unique(pts // (50.0 / 128.0))) > 100  # stratified
 
 
+class TestProbe:
+    def test_a_constant_is_read_once_and_the_rest_once_per_point(self):
+        pts = sample_points(1.0, 100.0, 64).tolist()
+        calls = []
+
+        def v(t):
+            calls.append("v")
+            return 2.0 * t
+
+        def c(t):
+            calls.append("c")
+            return -3.0
+
+        vals = probe({"v": v, "c": c}, pts, {"c"})
+        assert vals.tolist() == [[2.0 * t, -3.0] for t in pts]
+        assert calls.count("c") == 1 and calls.count("v") == len(pts)
+
+    @pytest.mark.parametrize("fns, constants, message", [
+        # a raises at the third point, b is not finite at the second
+        ({"a": lambda t: math.log(3.0 - t), "b": lambda t: math.inf if t == 2.0 else 1.0}, (),
+         "b is not finite at t=2"),
+        # both fail at the first point: the first label is named
+        ({"a": lambda t: 1.0 / (t - 1.0), "b": lambda t: math.inf}, ("b",),
+         "a undefined at t=1: float division by zero"),
+        ({"a": lambda t: t, "b": lambda t: math.nan}, ("b",), "b is not finite at t=1"),
+        ({"a": lambda t: t, "b": lambda t: math.nan}, (), "b is not finite at t=1"),
+    ])
+    def test_names_the_first_bad_point_then_its_first_bad_label(self, fns, constants, message):
+        with pytest.raises(ModelError) as err:
+            probe(fns, [1.0, 2.0, 3.0], constants)
+        assert str(err.value) == message
+
+    def test_build_reads_a_constant_coefficient_once(self, monkeypatch):
+        import osc3.expr
+
+        compile_fn, counts = osc3.expr.compile_fn, []
+
+        def counted(ast, params=None):
+            fn, i = compile_fn(ast, params), len(counts)
+            counts.append(0)
+
+            def wrapped(t):
+                counts[i] += 1
+                return fn(t)
+
+            return wrapped
+
+        monkeypatch.setattr(osc3.expr, "compile_fn", counted)
+        build_model("-2", "-t", "3", d_src="t")
+        assert counts == [1, VALIDATE_N, 1, 1, VALIDATE_N]  # p, q, r, p', D
+
+
 class TestSignReport:
     def test_clean_case(self):
         rep = check_condition_a(build_model("1", "-1", "2"))
@@ -102,6 +156,13 @@ class TestSignReport:
         with_t = check_condition_a(build_model("1", "1 + 0*t", "-1 + 0*t"))
         assert const == with_t
         assert const.r_positive.witness_t == const.q_nonpositive.witness_t == first
+
+    def test_a_non_finite_sample_is_an_error(self):
+        # an r that is infinite at one sample once passed condition (a)
+        t = float(sample_points(1.0, SIGN_SPAN, SIGN_N)[500])
+        m = build_model("0", "0", f"if(abs(t - {t!r}) < 1e-6, 9e307*9*t, 1)")
+        with pytest.raises(ModelError, match=f"^r is not finite at t={t:.6g}$"):
+            check_condition_a(m)
 
     def test_report_is_made_once_per_model(self):
         m = build_model("0", "-3*t^2", "2.5*t^3")
@@ -236,8 +297,8 @@ class TestSplit:
         ("0", "0", "9e307*9", "p2 is not finite at t={}"),
     ])
     def test_constant_split_is_checked_once_with_todays_error(self, p, p1, p2, message):
-        # with p, p1 and p2 constant only the first probe point is checked,
-        # where the full probe fails first
+        # with p, p1 and p2 constant each is read once, and the error names
+        # the first probe point, as with p written with t
         first = float(sample_points(1.0, PROBE_SPAN, SPLIT_N)[0])
         text = message.format(f"{first:.6g}", first)
         with pytest.raises(ModelError) as const:

@@ -2,8 +2,9 @@
 every module-level private name is read somewhere in src/osc3, no module
 imports scipy, which only the tests use, as an outside reference, one
 Dormand-Prince tableau serves every state width, every Kamenev series
-reaches the quadrature engine through one helper, and the minimum function
-and the feature windows are read off the model, not passed alongside it.
+reaches the quadrature engine through one helper, the minimum function
+and the feature windows are read off the model, not passed alongside it,
+and a sampled check reads the recorded constants only through ``probe``.
 
 An import counts as used when it is read anywhere else in the module (type
 annotations included) or listed in ``__all__``.  ``from __future__``
@@ -178,6 +179,48 @@ def test_checker_sees_a_second_engine_caller():
         "ENGINE = integrate_adaptive\n"
     )
     assert engine_readers(source) == ["C", "_series", "check", "line 11"]
+
+
+def constants_readers(source: str) -> list:
+    """Top-level functions that read a ``.constants`` attribute anywhere but
+    in the arguments of a ``probe(...)`` call."""
+    readers = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        exempt = set()
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "probe":
+                for arg in (*call.args, *(kw.value for kw in call.keywords)):
+                    exempt.update(id(sub) for sub in ast.walk(arg))
+        if any(
+            isinstance(sub, ast.Attribute) and sub.attr == "constants" and isinstance(sub.ctx, ast.Load)
+            and id(sub) not in exempt
+            for sub in ast.walk(node)
+        ):
+            readers.append(node.name)
+    return sorted(readers)
+
+
+def test_sampled_checks_read_constants_through_probe():
+    readers = []
+    for module in ("coeffs.py", "kamenev.py", "riccati.py"):
+        with open(os.path.join(SRC, module), encoding="utf-8") as f:
+            readers.extend(constants_readers(f.read()))
+    # the two quadrature shortcuts, which skip engine passes, not samples
+    assert sorted(readers) == ["check_33f", "criterion_kamenev"]
+
+
+def test_checker_sees_a_constants_reader():
+    source = (
+        "def sampled(model, pts):\n    return probe(fns, pts, model.constants)\n"
+        "def keyword(model, pts):\n    return coeffs.probe(fns, pts, constants=[*model.constants])\n"
+        "def shortcut(model, pts):\n    if 'p' in model.constants:\n        pts = pts[:1]\n"
+        "    return probe(fns, pts)\n"
+        "def store(model):\n    model.constants = {}\n"
+        "def nested(split):\n    def inner():\n        return split.constants.get('p1')\n    return inner\n"
+    )
+    assert constants_readers(source) == ["nested", "shortcut"]
 
 
 # facts the coefficient model carries; only quad, below the model, takes breakpoints

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from osc3.coeffs import SIGN_N, build_model, make_split, p_minus
+from osc3.coeffs import SIGN_N, ModelError, build_model, make_split, p_minus, sample_points
 from osc3.fixtures import get_fixture
 from osc3.kamenev import (
     APPLIES,
@@ -22,6 +22,7 @@ from osc3.kamenev import (
     THM33G,
     GeometricGrid,
     LimsupPolicy,
+    _p_zero_check,
     _series,
     check_33f,
     classify_bounded_below,
@@ -284,6 +285,14 @@ class TestCheck33f:
         rep = check_33f(sp, 200.0)
         assert rep.holds
 
+    def test_a_non_finite_p2_sample_is_an_error(self):
+        # a point of the last decade that the split's own probe does not see
+        t = float(sample_points(1000.0, 9000.0, 256)[100])
+        p2 = f"if(abs(t - {t!r}) < 1e-6, -9e307*9*t, 0)"
+        sp = make_split(build_model("0", "0", "1"), "0", p2)
+        with pytest.raises(ModelError, match=f"^p2 is not finite at t={t:.6g}$"):
+            check_33f(sp, 1e4)
+
 
 class TestOneEvaluationPerFact:
     """Constant coefficients are read once, not integrated, and D is
@@ -314,6 +323,32 @@ class TestOneEvaluationPerFact:
         assert rep == check_33f(dataclasses.replace(sp, constants={}), 1e4)
         assert rep.sup_by_decade == [abs(min(float(p), 0.0))] * 5
         assert rep.integral_tail == 0.0
+
+    def test_p_zero_at_every_sample_reads_neither_q_nor_r(self):
+        m = build_model("0*t", "-1 + 0*t", "1 + 0*t")
+
+        def unread(t):
+            raise AssertionError("q or r read")
+
+        m.q_at = m.r_at = unread
+        assert _p_zero_check(m) == _p_zero_check(build_model("0", "-1", "1"))
+        assert _p_zero_check(m).at == m.t0
+
+    def test_a_collapsed_window_adds_no_evals(self):
+        # (5, 5) is a window that double precision holds as a single point
+        pts = GRID.points()
+        calls = []
+
+        def g(tau):
+            calls.append(tau)
+            return math.sin(tau)
+
+        runs = []
+        for windows in (None, lambda t_end: [(5.0, 5.0)]):
+            calls.clear()
+            vals, _ = _series(build_model("0", "0", "1", windows=windows), pts, [(1.0, g, 1.0)])
+            runs.append((vals.tobytes(), len(calls)))
+        assert runs[0] == runs[1]
 
     def test_one_sweep_point_evaluates_each_fact_once(self, monkeypatch, tmp_path):
         # one lazer-sweep point at alpha 1.5 on 40 grid points, every

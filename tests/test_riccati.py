@@ -10,9 +10,12 @@ from osc3.fixtures import get_fixture
 from osc3.ode import OdeControls, integrate_third_order
 from osc3.riccati import (
     AS_WRITTEN,
+    ETA_CHECK_POINTS,
+    ETA_CHECK_TOL,
     LINEARIZED,
     ComparisonPreconditionError,
     RiccatiProblem,
+    _eta_residual_check,
     bernoulli_closed,
     comparison_check,
     riccati2_residual,
@@ -139,6 +142,50 @@ class TestComparisonCheck:
         assert rep.hypothesis_min == 0.0
         diffs = [abs(rep.y1.at(t)[0] - rep.y2.at(t)[0]) for t in rep.trace_grid]
         assert max(diffs) == 0.0
+
+    def test_each_function_is_read_once_per_grid_point(self, monkeypatch):
+        # outside the two solves f1 is read at the n_grid trace points and
+        # at the ETA_CHECK_POINTS points of eta1's inequality, once each
+        import osc3.riccati
+
+        solve, solving, calls = osc3.riccati.solve_riccati1, [], []
+
+        def quiet_solve(prob, t_max):
+            solving.append(True)
+            try:
+                return solve(prob, t_max)
+            finally:
+                solving.pop()
+
+        def f1(t):
+            if not solving:
+                calls.append(t)
+            return 1.0
+
+        monkeypatch.setattr(osc3.riccati, "solve_riccati1", quiet_solve)
+        p1 = RiccatiProblem(f1, 0.0, 0.0, 0.0, 1.0)
+        p2 = RiccatiProblem(1.0, 0.0, 0.0, 0.0, 1.0)
+        rep = comparison_check(p1, p2, 1.0, 1.0, 1.0, 5.0, n_grid=50)
+        assert rep.ordering_ok and rep.hypothesis_ok
+        assert len(calls) == 50 + ETA_CHECK_POINTS
+
+    def test_eta_margin_is_the_pointwise_loops(self):
+        # the array check against a loop over the grid, bit for bit
+        from osc3.cli import build_comparison_fixture
+
+        b = build_comparison_fixture("thm32-usage")
+        eta, prob = b["eta2"], b["prob2"]
+        grid = np.linspace(prob.t_start, b["t_max"], ETA_CHECK_POINTS)
+        dh = max(1e-5 * (grid[-1] - grid[0]), 1e-8)
+        margins = []
+        for t in grid:
+            e0, f, g, h = eta(t), prob.f_at(t), prob.g_at(t), prob.h_at(t)
+            d_eta = (eta(t + dh) - eta(t - dh)) / (2.0 * dh)
+            res = d_eta + f * e0 * e0 + g * e0 + h
+            margins.append(res + ETA_CHECK_TOL * (1.0 + abs(f * e0 * e0) + abs(g * e0) + abs(h) + abs(d_eta)))
+        k = min(range(len(grid)), key=margins.__getitem__)
+        got = _eta_residual_check(2, eta, prob, grid, ETA_CHECK_TOL)
+        assert got == {"ok": True, "min_residual_margin": margins[k], "at": grid[k]}
 
     def test_linear_fixture_exact_gap(self):
         # y1' = 1 against y2' = 0 from the same start: y1 - y2 = t
