@@ -256,13 +256,16 @@ def _parse_sweep_spec(spec: str):
 
 
 def _sweep_point(payload):
+    """One point's CSV cells, each theorem's overall verdict and the zero
+    count, and the (theorem, warnings) of every report that has warnings."""
     fixture, params, theorems, grid, policy, combo, tmax = payload
     model = fixture.build(params)
-    row = [rep.overall for rep in _theorem_reports(fixture, model, theorems, grid, policy)]
+    reports = _theorem_reports(fixture, model, theorems, grid, policy)
+    row = [rep.overall for rep in reports]
     # the zero count integrates the same equation as `verify`
     ode_model = fixture.build_ode_model(params) if fixture.ode_r_src else model
     row.append(str(len(count_zeros(integrate_third_order(ode_model, combo, tmax)))))
-    return row
+    return row, [(rep.theorem, rep.warnings) for rep in reports if rep.warnings]
 
 
 def cmd_sweep(args) -> int:
@@ -294,15 +297,21 @@ def cmd_sweep(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            results = list(pool.map(_sweep_point, payloads))
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        results = [_sweep_point(p) for p in payloads]
 
+    # the CSV holds verdicts only, so a verdict drawn from a series that
+    # stopped short is flagged on stderr, one line per point and theorem
+    for point, (_, notes) in zip(points, results):
+        where = " ".join(f"{name}={float(v)!r}" for name, v in zip(names, point))
+        for theorem, warnings in notes:
+            print(f"warning: {where} {theorem}: {'; '.join(warnings)}", file=sys.stderr)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     header = names + [f"{t.lower()}_overall" for t in theorems] + ["zero_count"]
     writer.writerow(header)
-    for point, row in zip(points, rows):
+    for point, (row, _) in zip(points, results):
         writer.writerow([repr(float(v)) for v in point] + row)
     text = buf.getvalue()
     if args.out:

@@ -48,6 +48,7 @@ THM31B = "THM31B"
 THM32C = "THM32C"
 THM32D = "THM32D"
 THM33E = "THM33E"
+THM33F = "THM33F"
 THM33G = "THM33G"
 LAZER = "LAZER"
 
@@ -222,20 +223,36 @@ def _as_base(model_or_split) -> CoefficientModel:
     return model_or_split
 
 
-def _series(model: CoefficientModel, pts: np.ndarray, terms) -> tuple:
+def _series(model: CoefficientModel, pts: np.ndarray, terms, label: str) -> tuple:
     """The sum over ``terms`` (c, g, m) of c int_{t0}^{t_k} (t_k - tau)^m g(tau)
     dtau at every grid point t_k, one engine pass per term in order, and
     its warnings: ``[SHORTFALL]`` when any pass stopped at the depth cap.
     Panels split at the edges of the model's windows up to the last t_k,
-    leaving out a window that double precision holds as a single point."""
+    leaving out a window that double precision holds as a single point.
+
+    A sum that is not finite, as when a coefficient overflows past the span
+    its model was probed on, is an error that names ``label`` and the first
+    t_k; numpy's overflow warnings inside the passes are not printed, since
+    the sums are checked."""
     if pts[0] < model.t0:
         raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
     windows = model.windows(float(pts[-1])) if model.windows else ()
     edges = [x for lo, hi in windows if lo < hi for x in (lo, hi)]
-    passes = [integrate_adaptive(g, model.t0, pts, TOL, breakpoints=edges, power=m) for _, g, m in terms]
-    parts = [c * res.value for (c, _, _), res in zip(terms, passes)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        passes = [integrate_adaptive(g, model.t0, pts, TOL, breakpoints=edges, power=m) for _, g, m in terms]
+        parts = [c * res.value for (c, _, _), res in zip(terms, passes)]
+        total = sum(parts[1:], parts[0])
+    _require_finite(label, pts, total)
     short = any(res.warning for res in passes)
-    return sum(parts[1:], parts[0]), [SHORTFALL] if short else []
+    return total, [SHORTFALL] if short else []
+
+
+def _require_finite(label: str, pts: np.ndarray, vals: np.ndarray) -> None:
+    """A ValueError naming ``label`` and the first pts[k] where vals[k] is
+    not finite, if there is one."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"{label} series is not finite at t={pts[int(bad.argmax())]:.6g}")
 
 
 def cumulative_D(
@@ -253,7 +270,7 @@ def cumulative_D(
     if criterion_id not in (THM32C, THM33E):
         raise ValueError(f"criterion_id must be {THM32C} or {THM33E}, got {criterion_id!r}")
     pts = grid.points()
-    vals, warnings = _series(model, pts, [(1.0, model.d_at, 0)])
+    vals, warnings = _series(model, pts, [(1.0, model.d_at, 0)], criterion_id)
     classify = classify_limsup if criterion_id == THM32C else classify_bounded_below
     return CriterionTrajectory(criterion_id, None, pts, vals, classify(vals, policy), warnings)
 
@@ -298,10 +315,9 @@ def criterion_kamenev(
         terms.append((-power / 9.0, pen_squared, alpha))
     elif mode == THM32D:
         terms.append((-power, lambda tau: p_minus(model, tau), alpha))
-    vals, warnings = _series(model, pts, terms)
+    vals, warnings = _series(model, pts, terms, mode)
     vals = vals / pts ** power
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{mode} produced non-finite samples")
+    _require_finite(mode, pts, vals)
     verdict = classify_limsup(vals, policy)
     return CriterionTrajectory(mode, float(alpha), pts, vals, verdict, warnings)
 
@@ -322,7 +338,7 @@ def criterion_lazer(
     read.
     """
     pts = grid.points()
-    vals, warnings = _series(model, pts, [(1.0, model.d_closed_at, 0)])
+    vals, warnings = _series(model, pts, [(1.0, model.d_closed_at, 0)], LAZER)
     return CriterionTrajectory(LAZER, None, pts, vals, classify_limsup(vals, policy), warnings)
 
 
@@ -360,7 +376,7 @@ def check_33f(
     if split.constants.get("p1") == 0.0:
         vals, warnings = np.zeros(count), []
     else:
-        vals, warnings = _series(model, grid.points(), [(1.0, lambda t: abs(split.p1_at(t)), 0)])
+        vals, warnings = _series(model, grid.points(), [(1.0, lambda t: abs(split.p1_at(t)), 0)], THM33F)
     verdict = classify_limsup(vals, policy)
     integrable_ok = verdict.kind == BOUNDED
 

@@ -1,21 +1,26 @@
 """Direct integration of phi''' + p phi'' + q phi' + r phi = 0.
 
-One Dormand-Prince 5(4) step loop, ``_DOPRI_TEMPLATE``, serves both
+One explicit Runge-Kutta step loop, ``_STEP_TEMPLATE``, serves both
 equations osc3 integrates: the linear third-order system here and the
-scalar Riccati equation in ``riccati``.  It is an embedded pair with FSAL,
+scalar Riccati equation in ``riccati``.  Its coefficients, ``_TABLEAU``,
+are Tsitouras' 5(4) pair: seven stages, the last at the new node (FSAL),
+so six new evaluations of the right side per step.  The loop has
 step-size control on a mixed absolute/relative error norm, and a hard cap
 ``h_max`` on accepted steps so that stored samples are dense enough for
 zero counting.  ``_stepper(width, frame)`` expands the loop into plain
 float code for a state of that many components, once per width: 3 for one
 solution, 9 for the fundamental matrix, 1 for a Riccati solution.
-``_dopri`` runs it and returns one ``Trajectory``: the accepted nodes with
-the state and the right side at each.
+``_integrate`` runs it and returns one ``Trajectory``: the accepted nodes
+with the state and the right side at each.
 
 The equation is linear, so every solution is Phi(t) v, where Phi is the
 fundamental matrix with Phi(t0) = I (Coddington & Levinson 1955, ch. 3).
 ``oscillation_report`` and ``fundamental_basis`` integrate Phi once, with
 p, q and r evaluated once per stage for all nine entries, and read each
-solution off it with ``Trajectory.solution(v)``.
+solution off it with ``Trajectory.solution(v)``.  The loop of the linear
+system calls p_at, q_at and r_at itself and has the right side written
+into it, so a stage makes no other Python call, bar ``_rate`` at the FSAL
+stage.
 
 The equation is also homogeneous, so any positive multiple of a solution
 is a solution with the same zeros.  The linear solve steps in a moving
@@ -71,7 +76,7 @@ ZERO_TOL = 1e-9  # count_zeros refines each zero to a bracket this wide
 ZERO_SAMPLES = 7  # count_zeros also reads each step at this many interior points
 MIN_ZEROS = 5  # classify_lemma21 calls a solution oscillatory from this many zeros
 RENORM_THRESHOLD = 1e150  # the linear system's state is rescaled past this norm
-MAX_STEPS = 10**6  # _dopri refuses a span longer than this many steps of h_max
+MAX_STEPS = 10**6  # _integrate refuses a span longer than this many steps of h_max
 
 
 @dataclass
@@ -178,7 +183,7 @@ def _horner(c, tau):
 
 @dataclass
 class Trajectory:
-    """The accepted nodes of one ``_dopri`` run.
+    """The accepted nodes of one ``_integrate`` run.
 
     ``states[k]`` and ``slopes[k]`` are the state and the right side at
     ``t[k]``, both stored divided by exp(log_scale[k]): the frame's M plus
@@ -257,35 +262,56 @@ class Trajectory:
         return replace(self, states=states, slopes=slopes, warnings=list(self.warnings))
 
 
-# The one Dormand-Prince 5(4) step loop, written once for a state of any
-# width.  ``_stepper(width, frame)`` expands it for the components y0, y1,
-# ...: a line holding ``@`` is repeated once per component with ``@``
-# replaced by the index, and ``<pattern|sep>`` becomes the pattern for every
-# component joined by sep.  A line ending in ``# frame`` is kept only in the
-# moving-frame loop of a linear system, one ending in ``# plain`` only in
-# the loop with an escape bound.  The expansion is plain float code,
-# unrolled like a loop written by hand, so a 3-vector pays no numpy dispatch
-# per stage and a 3x3 matrix evaluates the coefficients once per stage for
-# all nine entries.
+# Tsitouras' 5(4) pair (Comput. Math. Appl. 62 (2011) 770-775), the
+# coefficients of the one step loop.  Stage i sits at t + c[i] h with row i
+# of ``a`` its weights of the earlier stages, and ``b`` is the solution's
+# weights.  The seventh stage's row is ``b`` at c7 = 1, so that stage is
+# the right side at the new node, the next step's first (FSAL), and a step
+# makes six new evaluations of the right side.  ``e`` is the fifth-order
+# weights minus the fourth-order ones.
+_TABLEAU = {
+    "c": (0.0, 0.161, 0.327, 0.9, 0.9800255409045097, 1.0, 1.0),
+    "a": (
+        (),
+        (0.161,),
+        (-0.008480655492356989, 0.335480655492357),
+        (2.897153057105493, -6.359448489975075, 4.3622954328695815),
+        (5.325864828439257, -11.748883564062828, 7.4955393428898365, -0.09249506636175525),
+        (5.86145544294642, -12.92096931784711, 8.159367898576159, -0.071584973281401, -0.028269050394068383),
+        (0.09646076681806523, 0.01, 0.4798896504144996, 1.379008574103742, -3.290069515436081, 2.324710524099774),
+    ),
+    "b": (0.09646076681806523, 0.01, 0.4798896504144996, 1.379008574103742, -3.290069515436081, 2.324710524099774, 0.0),
+    "e": (
+        -0.00178001105222577714, -0.0008164344596567469, 0.007880878010261995, -0.1447110071732629,
+        0.5823571654525552, -0.45808210592918697, 0.015151515151515152,
+    ),
+}
+
+# The one step loop, written once for a state of any width.
+# ``_stepper(width, frame)`` expands it for the components y0, y1, ...: a
+# line holding ``@`` is repeated once per component with ``@`` replaced by
+# the index, and ``<pattern|sep>`` becomes the pattern for every component
+# joined by sep.  The line ending in ``# tableau`` becomes one assignment
+# per coefficient of ``_TABLEAU``: a21 .. a76, c1 .. c7, b1 .. b7 and
+# e1 .. e7.  A line ending in ``# frame`` is kept only in the moving-frame
+# loop of a linear system, one ending in ``# plain`` only in the loop with
+# an escape bound.  The expansion is plain float code, unrolled like a loop
+# written by hand, so a 3-vector pays no numpy dispatch per stage and a
+# 3x3 matrix evaluates the coefficients once per stage for all nine
+# entries.
 #
-# In the frame the loop steps psi = exp(-M) y with M' = mu, where mu is
-# held at ``node``'s rate at the step's start: every stage is A s - mu s,
-# the stored slope is the raw right side A psi, and M is the log scale.
-_DOPRI_TEMPLATE = """
-def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape, node):
-    a21 = 0.2
-    a31, a32 = 3.0 / 40.0, 9.0 / 40.0
-    a41, a42, a43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-    a51, a52, a53, a54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-    a61, a62, a63, a64, a65 = (
-        9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0
-    )
-    a71, a73, a74, a75, a76 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-    c2, c3, c4, c5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-    # error weights, fifth minus fourth order (the second is zero)
-    e1, e3, e4, e5, e6, e7 = (
-        71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0
-    )
+# The plain loop calls ``deriv(t, y0, y1, ...)``.  The frame loop is given
+# the coefficients (p_at, q_at, r_at) of the linear system and writes its
+# right side out: in a line holding ``@``, ``rhs(x)@`` becomes component @
+# of the right side at the state x0, x1, ... (``_linear_component``).  It
+# steps psi = exp(-M) y with M' = mu, where mu is held at the rate of the
+# step's start: every stage is A s - mu s, the stored slope is the raw
+# right side A psi, and M is the log scale.
+_STEP_TEMPLATE = """
+def step_loop(rhs, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape):
+    ...  # tableau
+    deriv = rhs  # plain
+    p_at, q_at, r_at = rhs  # frame
     isfinite = math.isfinite
     dim = len(init)
     <y@|, >, = init
@@ -293,8 +319,10 @@ def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape, node)
     ts = array("d", (t,))
     ys = array("d", init)
     <f@|, >, = deriv(t, <y@|, >)  # plain
-    <f@|, >, mu = node(t, <y@|, >)  # frame
     k1_@ = f@  # plain
+    p, q, r = p_at(t), q_at(t), r_at(t)  # frame
+    f@ = rhs(y)@  # frame
+    mu = _rate(p, q, r)  # frame
     k1_@ = f@ - mu * y@  # frame
     dys = array("d", (<f@|, >,))
     log_scale = 0.0
@@ -311,32 +339,39 @@ def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape, node)
             break
         tt = t + c2 * h
         s@ = y@ + h * (a21 * k1_@)
-        <k2_@|, >, = deriv(tt, <s@|, >)
-        k2_@ -= mu * s@  # frame
+        <k2_@|, >, = deriv(tt, <s@|, >)  # plain
+        p, q, r = p_at(tt), q_at(tt), r_at(tt)  # frame
+        k2_@ = rhs(s)@ - mu * s@  # frame
         tt = t + c3 * h
         s@ = y@ + h * (a31 * k1_@ + a32 * k2_@)
-        <k3_@|, >, = deriv(tt, <s@|, >)
-        k3_@ -= mu * s@  # frame
+        <k3_@|, >, = deriv(tt, <s@|, >)  # plain
+        p, q, r = p_at(tt), q_at(tt), r_at(tt)  # frame
+        k3_@ = rhs(s)@ - mu * s@  # frame
         tt = t + c4 * h
         s@ = y@ + h * (a41 * k1_@ + a42 * k2_@ + a43 * k3_@)
-        <k4_@|, >, = deriv(tt, <s@|, >)
-        k4_@ -= mu * s@  # frame
+        <k4_@|, >, = deriv(tt, <s@|, >)  # plain
+        p, q, r = p_at(tt), q_at(tt), r_at(tt)  # frame
+        k4_@ = rhs(s)@ - mu * s@  # frame
         tt = t + c5 * h
         s@ = y@ + h * (a51 * k1_@ + a52 * k2_@ + a53 * k3_@ + a54 * k4_@)
-        <k5_@|, >, = deriv(tt, <s@|, >)
-        k5_@ -= mu * s@  # frame
-        tt = t + h
+        <k5_@|, >, = deriv(tt, <s@|, >)  # plain
+        p, q, r = p_at(tt), q_at(tt), r_at(tt)  # frame
+        k5_@ = rhs(s)@ - mu * s@  # frame
+        tt = t + h  # c6 = c7 = 1
         s@ = y@ + h * (a61 * k1_@ + a62 * k2_@ + a63 * k3_@ + a64 * k4_@ + a65 * k5_@)
-        <k6_@|, >, = deriv(tt, <s@|, >)
-        k6_@ -= mu * s@  # frame
-        n@ = y@ + h * (a71 * k1_@ + a73 * k3_@ + a74 * k4_@ + a75 * k5_@ + a76 * k6_@)
+        <k6_@|, >, = deriv(tt, <s@|, >)  # plain
+        p, q, r = p_at(tt), q_at(tt), r_at(tt)  # frame
+        k6_@ = rhs(s)@ - mu * s@  # frame
+        n@ = y@ + h * (b1 * k1_@ + b2 * k2_@ + b3 * k3_@ + b4 * k4_@ + b5 * k5_@ + b6 * k6_@)
         <f@|, >, = deriv(tt, <n@|, >)  # plain
-        <f@|, >, mu_next = node(tt, <n@|, >)  # frame
         k7_@ = f@  # plain
+        p, q, r = p_at(tt), q_at(tt), r_at(tt)  # frame
+        f@ = rhs(n)@  # frame
+        mu_next = _rate(p, q, r)  # frame
         k7_@ = f@ - mu * n@  # frame
-        d@ = h * (e1 * k1_@ + e3 * k3_@ + e4 * k4_@ + e5 * k5_@ + e6 * k6_@ + e7 * k7_@)
-        r@ = d@ / (atol + rel_tol * max(abs(y@), abs(n@)))
-        err = math.sqrt((<r@ * r@| + >) / dim)
+        d@ = h * (e1 * k1_@ + e2 * k2_@ + e3 * k3_@ + e4 * k4_@ + e5 * k5_@ + e6 * k6_@ + e7 * k7_@)
+        d@ /= atol + rel_tol * max(abs(y@), abs(n@))
+        err = math.sqrt((<d@ * d@| + >) / dim)
         if not (<isfinite(n@)| and > and isfinite(err)):
             stats.rejected += 1
             h *= 0.2
@@ -372,14 +407,35 @@ def dopri(deriv, t, init, t_max, rel_tol, abs_tol, h_max, limiter, escape, node)
 """
 
 
+def _tableau_lines() -> list:
+    """One assignment per coefficient of ``_TABLEAU`` (a21, c1, b1, e1, ...),
+    as lines of the step loop's body."""
+    rows = [(f"a{i + 1}", row) for i, row in enumerate(_TABLEAU["a"])] + [(key, _TABLEAU[key]) for key in "cbe"]
+    return [f"    {name}{j + 1} = {value!r}" for name, row in rows for j, value in enumerate(row)]
+
+
+def _linear_component(x: str, i: int, width: int) -> str:
+    """Component i of the right side of phi''' = -(p phi'' + q phi' + r phi)
+    at the state x0, x1, ... of ``width`` components, (phi, phi', phi'') of
+    width // 3 solutions row by row: x[i + n] in the first two rows, and
+    -(p phi'' + q phi' + r phi) of solution j in the third."""
+    n = width // 3
+    if i < 2 * n:
+        return f"{x}{i + n}"
+    return f"-(p * {x}{i} + q * {x}{i - n} + r * {x}{i - 2 * n})"
+
+
 @functools.lru_cache(maxsize=None)
 def _stepper(width: int, frame: bool):
-    """The step loop of ``_DOPRI_TEMPLATE`` expanded for ``width``
+    """The step loop of ``_STEP_TEMPLATE`` expanded for ``width``
     components, in the moving frame or with an escape bound."""
     lines = []
     drop = "# plain" if frame else "# frame"
-    for line in _DOPRI_TEMPLATE.splitlines():
+    for line in _STEP_TEMPLATE.splitlines():
         if line.endswith(drop):
+            continue
+        if line.endswith("# tableau"):
+            lines.extend(_tableau_lines())
             continue
         line = re.sub(
             r"<(.*?)\|(.*?)>",
@@ -387,49 +443,48 @@ def _stepper(width: int, frame: bool):
             line,
         )
         if "@" in line:
-            lines.extend(line.replace("@", str(i)) for i in range(width))
+            lines.extend(
+                re.sub(r"rhs\((\w+)\)@", lambda m: _linear_component(m[1], i, width), line).replace("@", str(i))
+                for i in range(width)
+            )
         else:
             lines.append(line)
-    scope = {"array": array, "math": math, "StepStats": StepStats, "COMPLETED": COMPLETED,
+    scope = {"array": array, "math": math, "StepStats": StepStats, "COMPLETED": COMPLETED, "_rate": _rate,
              "BLOW_UP": BLOW_UP, "STEP_UNDERFLOW": STEP_UNDERFLOW, "RENORM_THRESHOLD": RENORM_THRESHOLD}
-    exec(compile("\n".join(lines), f"<dopri width {width}{' frame' if frame else ''}>", "exec"), scope)
-    return scope["dopri"]
+    exec(compile("\n".join(lines), f"<step loop width {width}{' frame' if frame else ''}>", "exec"), scope)
+    return scope["step_loop"]
 
 
-def _dopri(
-    deriv, t0: float, init, t_max: float, controls: OdeControls,
-    escape: float | None = None, node=None, windows=None,
+def _integrate(
+    rhs, t0: float, init, t_max: float, controls: OdeControls, escape: float | None = None, windows=None,
 ):
-    """Dormand-Prince 5(4) from state ``init`` at t0, by the step loop
+    """Tsitouras' 5(4) pair from state ``init`` at t0, by the step loop
     expanded for ``len(init)`` components.
 
-    ``deriv(t, y0, y1, ...)`` returns the right side as a tuple of the same
-    width.  The error norm is the RMS over the components.  A step with a
-    non-finite stage is rejected and retried at a fifth of its size.
-
-    The right side at every node is the FSAL stage, so the returned
+    The error norm is the RMS over the components.  A step with a
+    non-finite stage is rejected and retried at a fifth of its size.  The
+    right side at every node is the FSAL stage, so the returned
     ``Trajectory`` keeps it as ``slopes`` at no extra evaluation.  The nodes
     are stored flat in ``array('d')`` and read with ``np.frombuffer``.
-    Exactly one of ``escape`` and ``node`` is given:
 
-    - ``escape``: the run ends as BLOW_UP at the first node with
-      |state| > escape.
-    - ``node``, for a linear system: ``node(t, y0, y1, ...)`` returns the
-      right side and then the growth rate mu at t, from one evaluation of
-      the coefficients; it serves the first node and every FSAL stage.
-      The loop steps psi = exp(-M) y with M growing at mu of the step's
-      start, and stores psi with M as ``log_scale``; past
-      ``RENORM_THRESHOLD`` the state is also rescaled to unit max norm.
-      The error scale is ``abs_tol * exp(-M) + rel_tol * |psi|``, so
-      ``abs_tol`` bounds the error of y itself.
+    - With ``escape``, ``rhs`` is ``deriv(t, y0, y1, ...)``, which returns
+      the right side as a tuple of the same width, and the run ends as
+      BLOW_UP at the first node with |state| > escape.
+    - Without, ``rhs`` is the coefficients ``(p_at, q_at, r_at)`` of
+      phi''' + p phi'' + q phi' + r phi = 0, the state is (phi, phi', phi'')
+      of one or three solutions, row by row, and each stage calls p_at,
+      q_at and r_at once.  The loop steps psi = exp(-M) y with M growing at
+      ``_rate`` of the p, q and r at the step's start, from the FSAL stage's
+      call, and stores psi with M as ``log_scale``; past
+      ``RENORM_THRESHOLD`` the state is also rescaled to unit max norm.  The
+      error scale is ``abs_tol * exp(-M) + rel_tol * |psi|``, so ``abs_tol``
+      bounds the error of y itself.
 
     ``windows``, narrow active regions [(lo, hi), ...], shorten the steps
     near them (``_StepLimiter``).  A span longer than ``MAX_STEPS`` steps of
     ``controls.h_max`` is refused up front, since stepping through it would
     not finish.
     """
-    if (escape is None) == (node is None):
-        raise ValueError("give exactly one of escape (any equation) and node (a linear system)")
     h_max = controls.h_max
     if t_max - t0 > MAX_STEPS * h_max:
         raise ValueError(
@@ -438,8 +493,8 @@ def _dopri(
     limiter = _StepLimiter(windows) if windows else None
     init = [float(v) for v in init]
     width = len(init)
-    ts, ys, dys, scales, status, stats = _stepper(width, node is not None)(
-        deriv, float(t0), init, t_max, controls.rel_tol, controls.abs_tol, h_max, limiter, escape, node
+    ts, ys, dys, scales, status, stats = _stepper(width, escape is None)(
+        rhs, float(t0), init, t_max, controls.rel_tol, controls.abs_tol, h_max, limiter, escape
     )
     states = np.frombuffer(ys).reshape(-1, width)
     slopes = np.frombuffer(dys).reshape(-1, width)
@@ -472,46 +527,6 @@ def _rate(p: float, q: float, r: float) -> float:
     return mu if math.isfinite(mu) else 0.0
 
 
-@functools.lru_cache(maxsize=None)
-def _linear_pair(width: int):
-    """The factory of ``_linear_rhs``'s two closures for ``width``
-    components, compiled once per width from one expression of the right
-    side, so that the two cannot drift apart."""
-    n = width // 3
-    args = ", ".join(f"y{i}" for i in range(width))
-    right = ", ".join(
-        [f"y{i}" for i in range(n, width)]
-        + [f"-(p * y{2 * n + j} + q * y{n + j} + r * y{j})" for j in range(n)]
-    )
-    source = "\n".join([
-        "def pair(p_at, q_at, r_at):",
-        f"    def deriv(t, {args}):",
-        "        p, q, r = p_at(t), q_at(t), r_at(t)",
-        f"        return {right}",
-        f"    def node(t, {args}):",
-        "        p, q, r = p_at(t), q_at(t), r_at(t)",
-        f"        return {right}, _rate(p, q, r)",
-        "    return deriv, node",
-    ])
-    scope = {"_rate": _rate}
-    exec(compile(source, f"<linear rhs width {width}>", "exec"), scope)
-    return scope["pair"]
-
-
-def _linear_rhs(model: CoefficientModel, width: int = 3):
-    """Right side of the third order equation as a first order system in
-    (phi, phi', phi''): phi''' = -(p phi'' + q phi' + r phi).  At width 9
-    the state is a 3x3 matrix stored row by row (row i holds the i-th
-    derivative of the three columns), and p, q and r are evaluated once for
-    all three columns.
-
-    Returns ``(deriv, node)``: ``deriv(t, y0, y1, ...)`` is the right side,
-    and ``node`` is the same right side with the growth rate
-    ``_rate(p, q, r)`` appended, from the same one evaluation of p, q and
-    r, for the ``node`` of ``_dopri``."""
-    return _linear_pair(width)(model.p_at, model.q_at, model.r_at)
-
-
 def integrate_third_order(
     model: CoefficientModel,
     initial,
@@ -528,9 +543,9 @@ def integrate_third_order(
     init = np.ravel(initial).tolist()
     if len(init) not in (3, 9):
         raise ValueError(f"initial must be a 3-vector or a 3x3 matrix, got {len(init)} values")
-    deriv, node = _linear_rhs(model, len(init))
     windows = model.windows(t_max) if model.windows else None
-    traj = _dopri(deriv, model.t0, init, t_max, controls or OdeControls(), node=node, windows=windows)
+    coefficients = (model.p_at, model.q_at, model.r_at)
+    traj = _integrate(coefficients, model.t0, init, t_max, controls or OdeControls(), windows=windows)
     if traj.status == STEP_UNDERFLOW:
         traj.warnings.append(f"trajectory truncated at t={traj.t_end:.6g}: step size underflow")
     return traj

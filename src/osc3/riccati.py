@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .coeffs import CoefficientModel, probe
-from .ode import BLOW_UP, COMPLETED, STEP_UNDERFLOW, OdeControls, Trajectory, _dopri
+from .ode import BLOW_UP, COMPLETED, STEP_UNDERFLOW, OdeControls, Trajectory, _integrate
 from .quad import integrate_adaptive
 
 AS_WRITTEN = "AS_WRITTEN"
@@ -76,7 +76,7 @@ def solve_riccati1(prob: RiccatiProblem, t_max: float) -> Trajectory:
     def deriv(t, v):
         return (-(f_at(t) * v * v + g_at(t) * v + h_at(t)),)
 
-    traj = _dopri(deriv, prob.t_start, (prob.y_start,), t_max, CONTROLS, escape=ESCAPE)
+    traj = _integrate(deriv, prob.t_start, (prob.y_start,), t_max, CONTROLS, escape=ESCAPE)
     if traj.status == STEP_UNDERFLOW:
         traj.status = BLOW_UP
         traj.warnings.append(f"step underflow at t={traj.t_end:.6g}, treated as blow-up")

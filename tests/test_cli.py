@@ -273,6 +273,32 @@ class TestSweep:
         assert combo["zero_count"] == 4
         assert rows[0]["zero_count"] == "4"
 
+    def test_a_short_series_is_flagged_per_point_and_theorem(self, capsys, monkeypatch):
+        # with the depth cap at 0 every pass over these bumps stops short;
+        # each point's warnings are those its `check` reports, and stdout
+        # holds the CSV alone
+        import osc3.quad
+
+        assert main(["sweep", "--p", "0", "--q", "0", "--r", "b", "--theorem", "lazer", "--sweep", "b=1:2:1",
+                     "--grid-count", "16", "--tmax", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(osc3.quad, "MAX_DEPTH", 0)
+        bumps = "abs(sin(3*t))*exp(-t)"
+        argv = ["--p", f"-{bumps}", "--q", "0", "--r", f"b + {bumps}", "--theorem", "lazer,thm32",
+                "--grid-count", "16"]
+        assert main(["sweep", "--sweep", "b=1:2:1", "--tmax", "2"] + argv) == 0
+        short = capsys.readouterr()
+        rows = list(csv.reader(short.out.splitlines()))
+        assert rows[0] == ["b", "lazer_overall", "thm32_overall", "zero_count"]
+        assert [row[0] for row in rows[1:]] == ["1.0", "2.0"]
+        want = []
+        for b in ("1.0", "2.0"):
+            for rep in run_json(capsys, ["check", "--param", f"b={b}"] + argv)["theorem_reports"]:
+                assert rep["warnings"], rep["theorem"]
+                want.append(f"warning: b={b} {rep['theorem']}: {'; '.join(rep['warnings'])}")
+        assert short.err.splitlines() == want
+        assert want[1] == "warning: b=1.0 THM32: (c) quadrature depth cap reached; (d) quadrature depth cap reached"
+
     def test_bad_sweep_spec(self, capsys):
         code = main(["sweep", "--fixture", "lazer", "--sweep", "nope"])
         assert code == 2
@@ -412,6 +438,24 @@ class TestErrorPaths:
     def test_a_bad_sample_names_its_label_and_point(self, argv, message, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # r = t^77 is finite on the model's probe span [1, 1e4 + 1] but
+    # overflows inside the 70-point grid, which ends at t = 1.8e4
+    @pytest.mark.parametrize(
+        "theorem, message",
+        [
+            ("thm31", "THM31B series is not finite at t=8817.79"),
+            ("thm32", "THM32C series is not finite at t=10140.5"),
+            ("thm33", "THM33E series is not finite at t=10140.5"),
+            ("lazer", "LAZER series is not finite at t=10140.5"),
+        ],
+    )
+    def test_a_series_that_overflows_names_its_criterion_and_point(self, theorem, message, capsys, recwarn):
+        argv = ["check", "--p", "0", "--q", "0", "--r", "*".join(["t"] * 77), "--grid-count", "70",
+                "--theorem", theorem]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     def test_missing_sources(self, capsys):
         # no fixture and no p/q/r

@@ -1,7 +1,7 @@
 """Every top-level import in src/osc3 is used by the module that makes it,
 every module-level private name is read somewhere in src/osc3, no module
 imports scipy, which only the tests use, as an outside reference, one
-Dormand-Prince tableau serves every state width, every Kamenev series
+Runge-Kutta tableau serves every state width, every Kamenev series
 reaches the quadrature engine through one helper, the minimum function
 and the feature windows are read off the model, not passed alongside it,
 and a sampled check reads the recorded constants only through ``probe``.
@@ -129,16 +129,16 @@ def test_checker_sees_a_scipy_import():
     assert scipy_imports("from .scipy import x\nimport scipyx\n") == []
 
 
-# the fifth error weight of Dormand-Prince 5(4), which only a tableau holds
-DOPRI_WEIGHT = re.compile(r"-\s*17253\.0\s*/\s*339200\.0")
+# the fifth error weight of Tsitouras' 5(4) pair, which only a tableau holds
+TABLEAU_WEIGHT = re.compile(r"0\.5823571654525552")
 
 
 def tableau_copies(sources: dict) -> int:
-    """How many times the Dormand-Prince error weight occurs in the sources."""
-    return sum(len(DOPRI_WEIGHT.findall(src)) for src in sources.values())
+    """How many times the pair's error weight occurs in the sources."""
+    return sum(len(TABLEAU_WEIGHT.findall(src)) for src in sources.values())
 
 
-def test_one_dormand_prince_tableau():
+def test_one_step_tableau():
     sources = {}
     for module in MODULES:
         with open(os.path.join(SRC, module), encoding="utf-8") as f:
@@ -147,7 +147,7 @@ def test_one_dormand_prince_tableau():
 
 
 def test_checker_sees_a_second_tableau():
-    sources = {"ode.py": "e5 = -17253.0 / 339200.0\n", "riccati.py": "E5 = -17253.0/339200.0\n"}
+    sources = {"ode.py": "e5 = 0.5823571654525552\n", "riccati.py": "E5 = (0.5823571654525552,)\n"}
     assert tableau_copies(sources) == 2
 
 

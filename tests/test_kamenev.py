@@ -308,7 +308,7 @@ class TestOneEvaluationPerFact:
             penalty = (-power / 9.0, lambda tau: p_minus(m, tau) ** 2, alpha)
         else:
             penalty = (-power, lambda tau: p_minus(m, tau), alpha)
-        vals, warnings = _series(m, pts, [(1.0, m.d_at, power), penalty])
+        vals, warnings = _series(m, pts, [(1.0, m.d_at, power), penalty], mode)
         got = criterion_kamenev(m, alpha, mode, GRID)
         assert got.values.tobytes() == (vals / pts ** power).tobytes()
         assert got.warnings == warnings == []
@@ -346,7 +346,7 @@ class TestOneEvaluationPerFact:
         runs = []
         for windows in (None, lambda t_end: [(5.0, 5.0)]):
             calls.clear()
-            vals, _ = _series(build_model("0", "0", "1", windows=windows), pts, [(1.0, g, 1.0)])
+            vals, _ = _series(build_model("0", "0", "1", windows=windows), pts, [(1.0, g, 1.0)], THM33G)
             runs.append((vals.tobytes(), len(calls)))
         assert runs[0] == runs[1]
 

@@ -1,6 +1,7 @@
 """Direct integration, zero counting, classification, and the wronskian."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,9 @@ from osc3.ode import (
     OdeControls,
     StepStats,
     Trajectory,
-    _dopri,
-    _linear_rhs,
+    _TABLEAU,
+    _STEP_TEMPLATE,
+    _integrate,
     _rate,
     classify_lemma21,
     count_zeros,
@@ -29,6 +31,21 @@ from osc3.ode import (
     oscillation_report,
     wronskian,
 )
+
+
+def linear_deriv(model, width=3):
+    """The right side phi''' = -(p phi'' + q phi' + r phi) as a first-order
+    system in (phi, phi', phi'') of width // 3 solutions, row by row, for the
+    plain step loop (an escape bound, no frame) and for scipy."""
+    n = width // 3
+    p_at, q_at, r_at = model.p_at, model.q_at, model.r_at
+
+    def deriv(t, *y):
+        p, q, r = p_at(t), q_at(t), r_at(t)
+        return (*y[n:], *(-(p * y[2 * n + j] + q * y[n + j] + r * y[j]) for j in range(n)))
+
+    return deriv
+
 
 TRIPLE_ZERO = build_model("0", "0", "0")  # phi''' = 0, polynomial solutions
 UNIT_R = build_model("0", "0", "1")  # phi''' + phi = 0
@@ -77,7 +94,7 @@ class TestTrajectory:
         assert traj.status == COMPLETED
         if name == "example31":
             assert traj.log_scale[-1] > 0.0  # the check covers a rescale
-        deriv, _ = _linear_rhs(model)
+        deriv = linear_deriv(model)
         for k in range(len(traj.t)):
             expect = np.array(deriv(float(traj.t[k]), *traj.states[k].tolist()))
             assert traj.slopes[k].tobytes() == expect.tobytes(), k
@@ -88,7 +105,7 @@ class TestTrajectory:
         model = get_fixture("example31").build_ode_model()
         phi = integrate_third_order(model, np.eye(3), 12.0)
         assert phi.log_scale[-1] > 0.0
-        deriv, _ = _linear_rhs(model, 9)
+        deriv = linear_deriv(model, 9)
         for k in range(len(phi.t)):
             expect = np.array(deriv(float(phi.t[k]), *phi.states[k].tolist()))
             assert phi.slopes[k].tobytes() == expect.tobytes(), k
@@ -259,8 +276,8 @@ class TestRenormalization:
         ctl = OdeControls(rel_tol=1e-8)
         tr_r = integrate_third_order(model, (1.0, 0.0, 0.0), 12.0, ctl)
         # an escape bound turns the frame off; exp(12^3 / 3) stays below it
-        deriv, _ = _linear_rhs(model)
-        tr_p = _dopri(deriv, model.t0, (1.0, 0.0, 0.0), 12.0, ctl, escape=1e300)
+        deriv = linear_deriv(model)
+        tr_p = _integrate(deriv, model.t0, (1.0, 0.0, 0.0), 12.0, ctl, escape=1e300)
         assert tr_r.status == COMPLETED
         assert tr_p.status == COMPLETED
         assert tr_r.log_scale[-1] > 100.0
@@ -343,10 +360,10 @@ class TestFundamentalMatrix:
         controls = OdeControls()
         report = oscillation_report(model, t_max, n_random=2, seed=3, controls=controls)
         assert len(report.solutions) == 5
-        deriv, _ = _linear_rhs(model)
+        deriv = linear_deriv(model)
         for s in report.solutions:
             # the plain loop, outside the frame; no solution here passes 1e300
-            traj = _dopri(deriv, model.t0, s.initial, t_max, controls, escape=1e300)
+            traj = _integrate(deriv, model.t0, s.initial, t_max, controls, escape=1e300)
             zeros = count_zeros(traj)
             assert s.zero_count == len(zeros), s.label
             assert s.classification == classify_lemma21(traj, zeros=zeros), s.label
@@ -381,7 +398,7 @@ class TestFundamentalMatrix:
         t_max = 12.0
         phi = integrate_third_order(model, np.eye(3), t_max)
         assert phi.log_scale[-1] > 0.0  # the comparison covers a rescale
-        deriv, _ = _linear_rhs(model, 9)
+        deriv = linear_deriv(model, 9)
         ts = [2.0, 6.0, 9.5, 12.0]
         ref = integrate.solve_ivp(
             lambda t, y: deriv(t, *y), (model.t0, t_max), np.eye(3).ravel(), method="DOP853",
@@ -404,10 +421,10 @@ def _scipy_zeros(model, initial, t_max):
     search and restarted from the rescaled state whenever the state passes
     1e100, so that exp(t^3 / 3) growth stays in range."""
     integrate = pytest.importorskip("scipy.integrate")
-    p_at, q_at, r_at = model.p_at, model.q_at, model.r_at
+    deriv = linear_deriv(model)
 
     def rhs(t, y):
-        return [y[1], y[2], -(p_at(t) * y[2] + q_at(t) * y[1] + r_at(t) * y[0])]
+        return deriv(t, *y)
 
     def crossing(t, y):
         return y[0]
@@ -456,6 +473,17 @@ class TestMovingFrame:
         assert len(got) == len(want) > 0
         assert abs(got[-1] - want[-1]) <= 1e-7
 
+    def test_report_zeros_match_scipy_dop853(self):
+        # every solution of the example31 report, read off one matrix solve
+        # at the default tolerances, against its own DOP853 run at rtol 1e-12
+        model = get_fixture("example31").build_ode_model()
+        report = oscillation_report(model, 12.0)
+        assert len(report.solutions) == 8
+        for s in report.solutions:
+            want = _scipy_zeros(model, s.initial, 12.0)
+            assert s.zero_count == len(want) > 0, s.label
+            assert abs(s.last_zero - want[-1]) <= 8e-8, s.label
+
     def test_attempted_step_ceilings(self):
         phi = integrate_third_order(get_fixture("example31").build_ode_model(), np.eye(3), 12.0)
         assert phi.stats.accepted + phi.stats.rejected <= 2300
@@ -487,3 +515,83 @@ class TestMovingFrame:
                 assert _rate(p, q, r) == pytest.approx(want, rel=1e-9, abs=1e-9 * scale)
         assert _rate(3.0, 3.0, 1.0) == -1.0  # the triple root -1
         assert _rate(0.0, 0.0, 0.0) == 0.0
+
+
+def _forests(nodes: int) -> set:
+    """Every multiset of rooted trees with ``nodes`` nodes in all, each a
+    sorted tuple of trees."""
+    if nodes == 0:
+        return {()}
+    return {
+        tuple(sorted((tree,) + rest))
+        for k in range(1, nodes + 1)
+        for tree in _trees(k)
+        for rest in _forests(nodes - k)
+    }
+
+
+def _trees(nodes: int) -> list:
+    """The rooted trees with ``nodes`` nodes; a tree is the sorted tuple of
+    the subtrees at its root, so the one-node tree is ()."""
+    return sorted(_forests(nodes - 1))
+
+
+def _size(tree) -> int:
+    return 1 + sum(_size(sub) for sub in tree)
+
+
+def _density(tree) -> int:
+    """gamma(tree): its size times the densities of its subtrees."""
+    return _size(tree) * math.prod(_density(sub) for sub in tree)
+
+
+class TestTableau:
+    """The coefficients the step loop is expanded from, against Butcher's
+    order conditions: weights w have order p when sum_i w_i Phi_i(tree) =
+    1 / gamma(tree) for every rooted tree of up to p nodes, where Phi_i of
+    the one-node tree is 1 and of a tree is the product over its subtrees
+    of sum_j a_ij Phi_j(subtree) (Hairer, Norsett & Wanner, Solving Ordinary
+    Differential Equations I, sec. II.2)."""
+
+    c = np.array(_TABLEAU["c"])
+    a = np.array([row + (0.0,) * (7 - len(row)) for row in _TABLEAU["a"]])
+    b = np.array(_TABLEAU["b"])
+    embedded = b - np.array(_TABLEAU["e"])
+
+    def residuals(self, weights, order):
+        def phi(tree):
+            return math.prod((self.a @ phi(sub) for sub in tree), start=np.ones(7))
+
+        return [float(weights @ phi(tree)) - 1.0 / _density(tree) for tree in _trees(order)]
+
+    def test_solution_weights_have_order_five(self):
+        res = [r for order in range(1, 6) for r in self.residuals(self.b, order)]
+        assert len(res) == 17
+        assert max(map(abs, res)) <= 1e-13
+
+    def test_embedded_weights_have_order_four_not_five(self):
+        res = [r for order in range(1, 5) for r in self.residuals(self.embedded, order)]
+        assert len(res) == 8
+        assert max(map(abs, res)) <= 1e-13
+        # the difference is what the error norm measures
+        assert max(map(abs, self.residuals(self.embedded, 5))) > 1e-6
+
+    def test_nodes_are_the_row_sums(self):
+        assert self.c[0] == 0.0
+        assert np.max(np.abs(self.a.sum(axis=1) - self.c)) <= 1e-15
+
+    def test_last_stage_is_the_solution(self):
+        # first same as last: the seventh stage is the right side at the new
+        # node, so the loop reuses it as the next step's first
+        assert self.c[6] == self.c[5] == 1.0
+        assert np.array_equal(self.a[6], self.b)
+        assert self.b[6] == 0.0
+
+    def test_loop_reads_every_weight(self):
+        # the FSAL row and the two nodes at t + h are not read by name
+        read = set(re.findall(r"\b[abce]\d+\b", _STEP_TEMPLATE))
+        want = {f"a{i + 1}{j + 1}" for i in range(6) for j in range(i) if self.a[i, j] != 0.0}
+        want |= {f"b{j + 1}" for j in range(7) if self.b[j] != 0.0}
+        want |= {f"e{j + 1}" for j in range(7)}
+        want |= {f"c{i + 1}" for i in range(1, 5)}
+        assert want <= read
