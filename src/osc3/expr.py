@@ -360,24 +360,42 @@ _FUNCS = {
     "min": min,
     "max": max,
 }
-_COMPILE_NS = {f"_{name}": fn for name, fn in _FUNCS.items()}
-_COMPILE_NS.update(_pow=_pow, _div=_checked_div, __builtins__={})
+# The checked spelling runs here: a domain failure raises EvalDomainError
+# with its own message.  Compile-time folding runs here too.
+_CHECKED_NS = {f"_{name}": fn for name, fn in _FUNCS.items()}
+_CHECKED_NS.update(_pow=_pow, _div=_checked_div, __builtins__={})
+# The fast spelling runs here, on the C functions themselves.  A failure
+# raises their own ArithmeticError or ValueError, and the guard runs that
+# point again in the checked spelling, outside the ``except`` so that the
+# checked error is not chained to the fast one.
+_FAST_NS = dict(_CHECKED_NS, _pow=math.pow, _exp=math.exp, _ln=math.log, _sqrt=math.sqrt,
+                _FAILURES=(ArithmeticError, ValueError))
+_GUARD = """def _f(t):
+    try:
+        return {}
+    except _FAILURES:
+        pass
+    return _checked(t)
+"""
 
 
 class _Code:
     """A subtree left for run time.
 
-    ``parts`` are the pieces it is emitted from, in evaluation order: fixed
-    text, leaf text (``t`` or a literal) and child ``_Code``s.  An ``if``
-    holds just (condition, then, other) and sets ``is_if``, because its
-    condition runs first and then one branch.  ``key``, the text the subtree
-    emits without sharing, is its identity.
+    ``parts`` are the pieces of its checked spelling, in evaluation order:
+    fixed text, leaf text (``t`` or a literal) and child ``_Code``s, and
+    ``fast`` those of its fast spelling, which differs only in how it
+    writes ``/`` and a power.  An ``if`` holds just (condition, then,
+    other) and sets ``is_if``, because its condition runs first and then
+    one branch.  ``key``, the checked text the subtree emits without
+    sharing, is its identity.
     """
 
-    __slots__ = ("parts", "is_if", "key")
+    __slots__ = ("parts", "fast", "is_if", "key")
 
-    def __init__(self, parts: tuple, is_if: bool = False):
+    def __init__(self, parts: tuple, is_if: bool = False, fast: tuple | None = None):
         self.parts = parts
+        self.fast = fast or parts
         self.is_if = is_if
         keys = [p.key if isinstance(p, _Code) else p for p in parts]
         self.key = f"({keys[1]} if {keys[0]} != 0.0 else {keys[2]})" if is_if else "".join(keys)
@@ -409,7 +427,7 @@ def _fold(node: Node, bound: Mapping[str, float]):
     if isinstance(node, If):
         cond = _fold(node.cond, bound)
         if _is_literal(cond):
-            return _fold(node.then if eval(cond, _COMPILE_NS) != 0.0 else node.other, bound)
+            return _fold(node.then if eval(cond, _CHECKED_NS) != 0.0 else node.other, bound)
         return _Code((cond, _fold(node.then, bound), _fold(node.other, bound)), is_if=True)
     if isinstance(node, Neg):
         args, texts = (node.a,), ("(-", ")")
@@ -426,13 +444,10 @@ def _fold(node: Node, bound: Mapping[str, float]):
     else:
         args, texts = node.args, (f"_{node.fn}(", *[", "] * (len(node.args) - 1), ")")
     pieces = [_fold(a, bound) for a in args]
-    parts = [texts[0]]
-    for piece, text in zip(pieces, texts[1:]):
-        parts += [piece, text]
-    code = _Code(tuple(parts))
+    code = _Code(_weave(texts, pieces), fast=_fast_parts(node, pieces))
     if all(_is_literal(p) for p in pieces):
         try:
-            value = eval(code.key, _COMPILE_NS, {"t": None})
+            value = eval(code.key, _CHECKED_NS, {"t": None})
             if not isinstance(value, float) or math.isfinite(value):
                 return _literal(value)  # raises ValueError for an int too long to write out
         except (ArithmeticError, ValueError):
@@ -440,15 +455,38 @@ def _fold(node: Node, bound: Mapping[str, float]):
     return code
 
 
+def _weave(texts: tuple, pieces) -> tuple:
+    """The parts of an operation: its fixed texts with its operands between them."""
+    parts = [texts[0]]
+    for piece, text in zip(pieces, texts[1:]):
+        parts += [piece, text]
+    return tuple(parts)
+
+
+def _fast_parts(node: Node, pieces) -> tuple | None:
+    """The parts of the fast spelling where they differ from the checked
+    ones: an inline ``/``, and ``**`` for a power whose exponent is a
+    literal with an integral value.  That exponent is written as a float, so
+    that an ``int`` base (from ``floor``) gives a float as ``math.pow``
+    does, and a negative base a real number."""
+    if isinstance(node, Bin) and node.op == "/":
+        return _weave(("(", " / ", ")"), pieces)
+    if isinstance(node, Bin) and node.op == "^" and _is_literal(pieces[1]):
+        exponent = float(pieces[1].strip("()"))
+        if exponent.is_integer():
+            return _weave(("(", " ** ", ")"), (pieces[0], _literal(exponent)))
+    return None
+
+
 def compile_fn(ast: ExprAst, params: Mapping[str, float] | None = None) -> Callable[[float], float]:
     """Bind parameters and return a plain ``f(t) -> float``.
 
     This is the module's only evaluator and the hot path of quadrature and
-    ODE stepping: the AST becomes one Python lambda.  Every parameter in the
-    tree, also in an ``if`` branch that folds away, must be bound to a
+    ODE stepping: the AST becomes one Python function.  Every parameter in
+    the tree, also in an ``if`` branch that folds away, must be bound to a
     finite value; otherwise this raises.
 
-    * Folded: every subtree without ``t`` is computed here by the same
+    * Folded: every subtree without ``t`` is computed here by the checked
       helpers and inlined as the ``repr`` of its value, and an ``if`` whose
       condition folds keeps only the taken branch.
     * Left to run time: a subtree without ``t`` whose computation raises or
@@ -459,18 +497,36 @@ def compile_fn(ast: ExprAst, params: Mapping[str, float] | None = None) -> Calla
       occurrence in evaluation order, and read as ``_cN`` after that.  What
       an ``if`` condition binds is visible in both branches; what a branch
       binds stays in that branch, so an untaken branch never runs.
-      Identity is the emitted text.
+      Identity is the emitted checked text.
+    * Two spellings of the one folded tree.  The fast one runs first: it
+      calls ``math.pow``, ``math.sqrt``, ``math.log`` and ``math.exp``
+      directly, divides inline and raises an integral literal power with
+      ``**``, all of which give the checked helpers' values bit for bit.
+      Where it raises ArithmeticError or ValueError, the checked spelling,
+      compiled at the first such point, runs that point again and returns
+      its value or raises its own error: the helpers' EvalDomainError, or
+      what ``floor``, ``sin`` or ``cos`` raise, with the same message.
 
     No algebraic identities (``0*x``, ``x*1``) are applied; they would
-    change inf, NaN and the sign of zero.  Domain failures raise
-    EvalDomainError through small checked helpers; there is no per-call
-    finiteness check (:func:`evaluate` adds one).
+    change inf, NaN and the sign of zero.  There is no per-call finiteness
+    check (:func:`evaluate` adds one).
     """
-    return eval(_lambda_source(ast, params), dict(_COMPILE_NS))
+    root = _folded(ast, params)
+    checked = None
+
+    def run_checked(t):
+        nonlocal checked
+        if checked is None:
+            checked = eval("lambda t: " + _spelling(root, fast=False), dict(_CHECKED_NS))
+        return checked(t)
+
+    ns = dict(_FAST_NS, _checked=run_checked)
+    exec(_GUARD.format(_spelling(root, fast=True)), ns)
+    return ns["_f"]
 
 
-def _lambda_source(ast: ExprAst, params: Mapping[str, float] | None) -> str:
-    """The ``lambda t: ...`` text that :func:`compile_fn` evaluates."""
+def _folded(ast: ExprAst, params: Mapping[str, float] | None):
+    """The tree with its parameters bound and checked, folded."""
     given = params or {}
     bound = {}
     for name in _param_names(ast.root):
@@ -478,10 +534,14 @@ def _lambda_source(ast: ExprAst, params: Mapping[str, float] | None) -> str:
             raise UnboundParameterError(f"parameter {name!r} has no value")
         value = float(given[name])
         if not math.isfinite(value):
-            # repr would inline 'inf' or 'nan', names the lambda cannot resolve
+            # repr would inline 'inf' or 'nan', names the compiled code cannot resolve
             raise EvalDomainError(f"parameter {name}={value!r} is not finite")
         bound[name] = value
-    root = _fold(ast.root, bound)
+    return _fold(ast.root, bound)
+
+
+def _spelling(root, fast: bool) -> str:
+    """The text of the folded tree ``root`` in its fast or checked spelling."""
     reused = set()
 
     def emit(piece, scope: dict, count) -> str:
@@ -498,12 +558,12 @@ def _lambda_source(ast: ExprAst, params: Mapping[str, float] | None) -> str:
             other = emit(piece.parts[2], dict(scope), count)
             text = f"({then} if {cond} != 0.0 else {other})"
         else:
-            text = "".join([emit(p, scope, count) for p in piece.parts])
+            text = "".join([emit(p, scope, count) for p in (piece.fast if fast else piece.parts)])
         scope[piece.key] = n
         return f"(_c{n} := {text})" if n in reused else text
 
     emit(root, {}, itertools.count())  # finds which subtrees are read again
-    return "lambda t: " + emit(root, {}, itertools.count())
+    return emit(root, {}, itertools.count())
 
 
 def evaluate(ast: ExprAst, t: float, params: Mapping[str, float] | None = None) -> float:

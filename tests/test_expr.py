@@ -15,7 +15,10 @@ from osc3.expr import (
     ExprSyntaxError,
     UnboundParameterError,
     UnknownIdentifierError,
-    _lambda_source,
+    _CHECKED_NS,
+    _FAST_NS,
+    _folded,
+    _spelling,
     compile_fn,
     differentiate,
     evaluate,
@@ -30,6 +33,13 @@ def ev(src, t, params=None, param_names=()):
 
 # example31's corrected r and example32's bump p at their default parameters,
 # written out in Python in the operation order of their sources
+def _lambda_source(ast, params):
+    """The checked ``lambda t: ...`` text that a function from
+    ``compile_fn`` compiles and runs at a point where its fast spelling
+    fails."""
+    return "lambda t: " + _spelling(_folded(ast, params), fast=False)
+
+
 def _r31_corrected(t, M=1.0, N=1.0, gamma=2.0, beta=2.0):
     disc = M ** 2.0 * t ** (2.0 * gamma) - 3.0 * M * gamma * t ** (gamma - 1.0)
     if (1.0 if disc < 0.0 else 0.0) != 0.0:
@@ -428,3 +438,99 @@ def test_compiled_matches_tree_walker(source, a, b, t):
     params = {"a": a, "b": b}
     f = compile_fn(ast, params)
     assert _outcome(f, t) == _outcome(_walk, ast.root, t, params), _lambda_source(ast, params)
+
+
+def _spelled(fn, t):
+    """What ``fn(t)`` gives, as a value's type and repr (which tells -0.0
+    from 0.0) or an exception's class and message."""
+    try:
+        value = fn(t)
+    except Exception as exc:  # compared by class and message below
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+_TIMES = st.one_of(_VALUES, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+# integral powers of a negative, a zero and an int (floor) base
+@example("t^3", 0.0, 0.0, -2.5)
+@example("t^a", -2.0, 0.0, -3.0)
+@example("t^2", 0.0, 0.0, -0.0)
+@example("t^-1", 0.0, 0.0, -0.0)
+@example("t^-2", 0.0, 0.0, 0.0)
+@example("floor(t)^3", 0.0, 0.0, -2.5)
+@example("floor(t)^2", 0.0, 0.0, 0.5)
+@example("floor(t)^floor(a)", 2.5, 0.0, -7.5)
+@example("t^0.5", 0.0, 0.0, -4.0)  # not integral: math.pow, which raises, not a complex **
+@example("0^-1", 0.0, 0.0, 1.0)
+@example("floor(t)^-5", 0.0, 0.0, 1e62)
+@example("floor(t)^-5", 0.0, 0.0, 1e300)
+@example("9e307*t^2", 0.0, 0.0, 2.0)
+@example("9e307*t^2", 0.0, 0.0, 1e200)
+@example("ln(t)", 0.0, 0.0, 0.0)
+@example("ln(t)", 0.0, 0.0, -0.0)
+@example("ln(t) + ln(-t)", 0.0, 0.0, -1.0)
+@example("sqrt(t)", 0.0, 0.0, -0.0)
+@example("sqrt(t)", 0.0, 0.0, -1e-300)
+@example("exp(t)", 0.0, 0.0, 1000.0)
+@example("t + 1/0", 0.0, 0.0, 1.0)
+@example("1/t", 0.0, 0.0, -0.0)
+@example("1/floor(t)", 0.0, 0.0, 0.5)
+@given(_SOURCES, _VALUES, _VALUES, _TIMES)
+def test_fast_spelling_matches_checked_spelling(source, a, b, t):
+    """The fast spelling gives the checked one's value bit for bit, or
+    raises an ArithmeticError or ValueError where the checked one fails; and
+    the compiled function, the fast spelling under its guard, gives the
+    checked value or raises the checked exception with its message."""
+    ast = parse(source, param_names=("a", "b"))
+    params = {"a": a, "b": b}
+    root = _folded(ast, params)
+    checked = eval(_lambda_source(ast, params), dict(_CHECKED_NS))
+    fast = eval("lambda t: " + _spelling(root, fast=True), dict(_FAST_NS))
+    want, got = _spelled(checked, t), _spelled(fast, t)
+    note = _spelling(root, fast=True)
+    if not issubclass(got[0], (ArithmeticError, ValueError)):
+        assert got == want, note
+    assert _spelled(compile_fn(ast, params), t) == want, note
+
+
+class TestSpellings:
+    def test_checked_spelling_is_compiled_at_the_first_failure_only(self, monkeypatch):
+        import osc3.expr
+        from osc3.coeffs import build_model
+
+        spelling, compiled = osc3.expr._spelling, []
+
+        def counted(root, fast):
+            text = spelling(root, fast)
+            if not fast:
+                compiled.append(text)
+            return text
+
+        monkeypatch.setattr(osc3.expr, "_spelling", counted)
+        model = EXAMPLE31.build()
+        EXAMPLE32.build()
+        build_model("0", "-3*t^2", "2.5*t^3")
+        for t in np.linspace(1.0, 12.0, 1000).tolist():
+            model.r_at(t)
+        assert compiled == []
+
+        f = compile_fn(parse("ln(t - 3)"))
+        for t in np.linspace(3.5, 100.0, 1000).tolist():
+            f(t)
+        assert compiled == []
+        for _ in range(2):
+            with pytest.raises(EvalDomainError) as info:
+                f(2.0)
+            assert str(info.value) == "ln(-1.0) undefined"
+        assert compiled == ["_ln((t - 3.0))"]
+        assert f(4.0) == 0.0
+
+    def test_checked_text_is_what_a_failing_point_runs(self):
+        ast = parse("t + 1/(t - t)")
+        assert _lambda_source(ast, None) == "lambda t: (t + _div(1.0, (t - t), t))"
+        assert _spelling(_folded(ast, None), fast=True) == "(t + (1.0 / (t - t)))"
+        with pytest.raises(EvalDomainError, match=r"^division by zero at t=5\.0$"):
+            compile_fn(ast)(5.0)
