@@ -433,52 +433,74 @@ def _add_grid_flags(sp):
     sp.add_argument("--growth-rho", type=float, default=None, help="window growth factor for DIVERGES (default 2)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_check_flags(sp):
+    _add_model_flags(sp)
+    _add_theorem_flags(sp)
+    _add_grid_flags(sp)
+    sp.add_argument("--csv", help="write criterion trajectories to this CSV path")
+    sp.add_argument("--out", help="write the JSON report here (default stdout)")
+
+
+def _add_verify_flags(sp):
+    _add_model_flags(sp, with_d=False)
+    sp.add_argument("--tmax", type=float, default=100.0)
+    sp.add_argument("--combos", type=int, default=5, help="random unit-vector initial states")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--rel-tol", type=float, default=1e-9)
+    sp.add_argument("--abs-tol", type=float, default=1e-12)
+    sp.add_argument("--h-max", type=float, default=0.1)
+    sp.add_argument("--out", help="write the JSON report here (default stdout)")
+
+
+def _add_sweep_flags(sp):
+    _add_model_flags(sp)
+    sp.add_argument("--sweep", action="append", required=True, metavar="NAME=START:STOP:STEP")
+    _add_theorem_flags(sp)
+    _add_grid_flags(sp)
+    sp.add_argument("--tmax", type=float, default=30.0, help="horizon for the zero-count column")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--out", help="write the CSV here (default stdout)")
+
+
+def _add_riccati_flags(sp):
+    sp.add_argument("--comparison", default="identity",
+                    choices=("identity", "linear", "thm32-usage"))
+    sp.add_argument("--variant", default="as-written", choices=("as-written", "linearized"))
+    sp.add_argument("--t-end", type=float, default=None)
+    sp.add_argument("--n-grid", type=int, default=400)
+    sp.add_argument("--out", help="write the JSON report here (default stdout)")
+
+
+# subcommand -> (its one-line help, what adds its flags, what runs it)
+_COMMANDS = {
+    "check": ("evaluate theorem conditions", _add_check_flags, cmd_check),
+    "verify": ("integrate the equation and classify solutions", _add_verify_flags, cmd_verify),
+    "sweep": ("evaluate checks over a parameter grid", _add_sweep_flags, cmd_sweep),
+    "riccati": ("run the comparison harness on a named fixture", _add_riccati_flags, cmd_riccati),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser for a call whose first argument is ``command``.
+
+    Every subcommand is registered with its help, so the top-level help and
+    the errors for a missing or misspelt command do not depend on
+    ``command``; only ``command``'s own subparser gets its flags, since
+    about three quarters of building them all went to flags the call never
+    reads.  The top level has only -h and --version, and both exit, so any
+    call whose subcommand flags are parsed names that subcommand first.
+    """
     parser = argparse.ArgumentParser(
         prog="osc3",
         description="Oscillation criteria for phi''' + p phi'' + q phi' + r phi = 0",
     )
     parser.add_argument("--version", action="version", version=f"osc3 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="evaluate theorem conditions")
-    _add_model_flags(check)
-    _add_theorem_flags(check)
-    _add_grid_flags(check)
-    check.add_argument("--csv", help="write criterion trajectories to this CSV path")
-    check.add_argument("--out", help="write the JSON report here (default stdout)")
-    check.set_defaults(func=cmd_check)
-
-    verify = sub.add_parser("verify", help="integrate the equation and classify solutions")
-    _add_model_flags(verify, with_d=False)
-    verify.add_argument("--tmax", type=float, default=100.0)
-    verify.add_argument("--combos", type=int, default=5, help="random unit-vector initial states")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--rel-tol", type=float, default=1e-9)
-    verify.add_argument("--abs-tol", type=float, default=1e-12)
-    verify.add_argument("--h-max", type=float, default=0.1)
-    verify.add_argument("--out", help="write the JSON report here (default stdout)")
-    verify.set_defaults(func=cmd_verify)
-
-    sweep = sub.add_parser("sweep", help="evaluate checks over a parameter grid")
-    _add_model_flags(sweep)
-    sweep.add_argument("--sweep", action="append", required=True, metavar="NAME=START:STOP:STEP")
-    _add_theorem_flags(sweep)
-    _add_grid_flags(sweep)
-    sweep.add_argument("--tmax", type=float, default=30.0, help="horizon for the zero-count column")
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--jobs", type=int, default=1)
-    sweep.add_argument("--out", help="write the CSV here (default stdout)")
-    sweep.set_defaults(func=cmd_sweep)
-
-    ricc = sub.add_parser("riccati", help="run the comparison harness on a named fixture")
-    ricc.add_argument("--comparison", default="identity",
-                      choices=("identity", "linear", "thm32-usage"))
-    ricc.add_argument("--variant", default="as-written", choices=("as-written", "linearized"))
-    ricc.add_argument("--t-end", type=float, default=None)
-    ricc.add_argument("--n-grid", type=int, default=400)
-    ricc.add_argument("--out", help="write the JSON report here (default stdout)")
-    ricc.set_defaults(func=cmd_riccati)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_flags(sp)
     return parser
 
 
@@ -507,15 +529,14 @@ def _absorb_expression_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_absorb_expression_values(list(argv)))
+        args = parser.parse_args(_absorb_expression_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except KeyError as exc:
         # str() of a KeyError is the repr of its message, quotes included
         print(f"error: {exc.args[0]}", file=sys.stderr)

@@ -233,18 +233,40 @@ def _series(model: CoefficientModel, pts: np.ndarray, terms, label: str) -> tupl
     A sum that is not finite, as when a coefficient overflows past the span
     its model was probed on, is an error that names ``label`` and the first
     t_k; numpy's overflow warnings inside the passes are not printed, since
-    the sums are checked."""
+    the sums are checked.  An integrand that raises there is an error that
+    names ``label`` and the node where it raised."""
     if pts[0] < model.t0:
         raise ValueError(f"grid starts at {pts[0]!r} before t0={model.t0!r}")
     windows = model.windows(float(pts[-1])) if model.windows else ()
     edges = [x for lo, hi in windows if lo < hi for x in (lo, hi)]
     with np.errstate(over="ignore", invalid="ignore"):
-        passes = [integrate_adaptive(g, model.t0, pts, TOL, breakpoints=edges, power=m) for _, g, m in terms]
+        passes = []
+        for _, g, m in terms:
+            run = lambda f, m=m: integrate_adaptive(f, model.t0, pts, TOL, breakpoints=edges, power=m)
+            try:
+                passes.append(run(g))
+            except (ArithmeticError, ValueError):
+                # the same pass again, only to name the node that raises
+                run(_naming(label, g))
+                raise
         parts = [c * res.value for (c, _, _), res in zip(terms, passes)]
         total = sum(parts[1:], parts[0])
     _require_finite(label, pts, total)
     short = any(res.warning for res in passes)
     return total, [SHORTFALL] if short else []
+
+
+def _naming(label: str, g: Callable[[float], float]) -> Callable[[float], float]:
+    """``g``, with what it raises turned into a ValueError that names
+    ``label`` and the node."""
+    def named(tau):
+        try:
+            return g(tau)
+        except (ArithmeticError, ValueError) as exc:
+            # ExprError, or what floor/sin/cos raise on an inf or nan argument
+            raise ValueError(f"{label} series is undefined at t={tau:.6g}: {exc}") from exc
+
+    return named
 
 
 def _require_finite(label: str, pts: np.ndarray, vals: np.ndarray) -> None:

@@ -1,11 +1,39 @@
-"""End-to-end command line tests through main()."""
+"""End-to-end command line tests through main().
 
+The help, usage and error texts are stored in tests/golden/cli_text.json,
+taken at COLUMNS=80; rewrite them (only after a deliberate change to the
+command line) with
+
+    COLUMNS=80 PYTHONPATH=src python tests/test_cli.py
+"""
+
+import argparse
+import contextlib
 import csv
+import io
 import json
+import os
+import sys
 
 import pytest
 
 from osc3.cli import main
+
+CLI_TEXT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli_text.json")
+
+# name -> argv of each stored help, usage or error text
+TEXT_CASES = {
+    "help": ["--help"],
+    **{f"{cmd}_help": [cmd, "--help"] for cmd in ("check", "verify", "sweep", "riccati")},
+    "no_command": [],
+    "misspelt_command": ["chek"],
+    **{f"{cmd}_unknown_flag": [cmd, "--bogus", "1"] for cmd in ("check", "verify", "sweep", "riccati")},
+    "check_missing_value": ["check", "--alpha"],
+    "verify_missing_value": ["verify", "--tmax"],
+    "sweep_missing_value": ["sweep", "--jobs"],
+    "riccati_missing_value": ["riccati", "--n-grid"],
+    "version": ["--version"],
+}
 
 
 def run_json(capsys, argv):
@@ -457,6 +485,18 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
+    # the same r behind floor raises past the probed span instead of
+    # overflowing: the error names the criterion and the node that raised
+    @pytest.mark.parametrize(
+        "theorem, label", [("thm31", "THM31B"), ("thm32", "THM32C"), ("thm33", "THM33E"), ("lazer", "LAZER")]
+    )
+    def test_an_integrand_that_raises_names_its_criterion_and_node(self, theorem, label, capsys):
+        argv = ["check", "--p", "0", "--q", "0", "--r", f"1 + 0*floor({'*'.join(['t'] * 77)})",
+                "--grid-count", "70", "--theorem", theorem]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {label} series is undefined at t=10106.8: cannot convert float infinity to integer\n")
+
     def test_missing_sources(self, capsys):
         # no fixture and no p/q/r
         assert main(["check"]) == 2
@@ -466,3 +506,57 @@ class TestErrorPaths:
         code = main(["--version"])
         assert code == 0
         assert "osc3" in capsys.readouterr().out
+
+
+class TestOutsideView:
+    """The command line looks the same from outside whichever subcommand's
+    flags a call builds."""
+
+    @pytest.mark.parametrize("case", sorted(TEXT_CASES))
+    def test_text_matches_stored(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with open(CLI_TEXT, encoding="utf-8") as f:
+            want = json.load(f)[case]
+        code = main(TEXT_CASES[case])
+        got = capsys.readouterr()
+        assert {"code": code, "stdout": got.out, "stderr": got.err} == want
+
+    def test_stored_texts_are_the_cases(self):
+        with open(CLI_TEXT, encoding="utf-8") as f:
+            assert sorted(json.load(f)) == sorted(TEXT_CASES)
+
+    def test_check_builds_no_other_subcommand_flags(self, monkeypatch, tmp_path):
+        added = {}
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def recording(parser, *names, **kwargs):
+            added.setdefault(parser.prog, []).extend(names)
+            return add_argument(parser, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+        argv = ["check", "--fixture", "lazer", "--theorem", "lazer", "--out", str(tmp_path / "a.json")]
+        assert main(argv) == 0
+        for cmd in ("verify", "sweep", "riccati"):
+            assert added.pop(f"osc3 {cmd}") == ["-h", "--help"], cmd
+        check = set(added.pop("osc3 check"))
+        assert {"--fixture", "--theorem", "--grid-count", "--csv", "--out"} <= check
+        assert not check & {"--tmax", "--combos", "--rel-tol", "--sweep", "--jobs", "--comparison", "--n-grid"}
+        assert added == {"osc3": ["-h", "--help", "--version"]}
+        # the next call builds its parser anew, with its own subcommand's flags
+        added.clear()
+        assert main(["riccati", "--out", str(tmp_path / "b.json")]) == 0
+        assert added["osc3 check"] == ["-h", "--help"]
+        assert "--n-grid" in added["osc3 riccati"]
+
+
+if __name__ == "__main__":
+    texts = {}
+    for case, argv in sorted(TEXT_CASES.items()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        texts[case] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    with open(CLI_TEXT, "w", encoding="utf-8") as f:
+        json.dump(texts, f, indent=2, sort_keys=True)
+        f.write("\n")
+    sys.exit(0)

@@ -15,6 +15,12 @@ that, list every field that would move beyond RTOL (old value, new value,
 relative change), rewriting nothing, with
 
     PYTHONPATH=src python tests/test_golden.py --report [CASE ...]
+
+Two other files in tests/golden/ are rewritten by the module whose tests
+read them: cli_text.json, the help, usage and error texts, by
+``COLUMNS=80 PYTHONPATH=src python tests/test_cli.py``, and
+scipy_zeros.json, the DOP853 reference zeros, by
+``PYTHONPATH=src python tests/test_ode.py``.
 """
 
 import csv

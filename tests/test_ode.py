@@ -1,7 +1,18 @@
-"""Direct integration, zero counting, classification, and the wronskian."""
+"""Direct integration, zero counting, classification, and the wronskian.
 
+The DOP853 reference zeros of the moving-frame tests are stored in
+tests/golden/scipy_zeros.json with the inputs they were solved for; rewrite
+them (after a deliberate change to those inputs; the solves take about
+20 s) with
+
+    PYTHONPATH=src python tests/test_ode.py
+"""
+
+import json
 import math
+import os
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -451,27 +462,49 @@ def _sweep_combination():
     return tuple(float(x) for x in v / np.linalg.norm(v))
 
 
+SCIPY_ZEROS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "scipy_zeros.json")
+
+
+def _scipy_cases() -> dict:
+    """name -> (model, initial state, t_max) of each stored DOP853 reference."""
+    example31 = get_fixture("example31").build_ode_model()
+    return {
+        "example31": (example31, _sweep_combination(), 50.0),
+        "growth": (build_model("0", "0", "-1"), (1.0001, -0.4999, -0.4999), 400.0),
+        **{f"example31_report_{s.label}": (example31, s.initial, 12.0)
+           for s in oscillation_report(example31, 12.0).solutions},
+    }
+
+
+def _scipy_inputs(model, initial, t_max) -> dict:
+    return {"p": model.p.source, "q": model.q.source, "r": model.r.source, "params": model.params,
+            "t0": model.t0, "initial": [float(x) for x in initial], "t_max": t_max}
+
+
+def _stored_scipy_zeros(name, model, initial, t_max):
+    """The zero count and last zero that ``_scipy_zeros`` gave for the case
+    ``name``, once its stored inputs are checked to be these."""
+    with open(SCIPY_ZEROS, encoding="utf-8") as f:
+        stored = json.load(f)[name]
+    assert stored["inputs"] == _scipy_inputs(model, initial, t_max), f"{name} changed: rewrite {SCIPY_ZEROS}"
+    return stored["count"], stored["last_zero"]
+
+
 class TestMovingFrame:
     """The linear system is stepped as psi = exp(-M) phi with M growing at
     the largest real part of the frozen cubic's roots; its zeros, its step
     counts and its coefficient calls."""
 
-    @pytest.mark.parametrize(
-        "model, initial, t_max",
-        [
-            (get_fixture("example31").build_ode_model(), _sweep_combination(), 50.0),
-            (build_model("0", "0", "-1"), (1.0001, -0.4999, -0.4999), 400.0),
-        ],
-        ids=["example31", "growth"],
-    )
-    def test_zeros_match_scipy_dop853(self, model, initial, t_max):
+    @pytest.mark.parametrize("name", ["example31", "growth"])
+    def test_zeros_match_scipy_dop853(self, name):
+        model, initial, t_max = _scipy_cases()[name]
         traj = integrate_third_order(model, initial, t_max)
         assert traj.status == COMPLETED
         assert traj.log_scale[-1] > 390.0  # the log scale, not the state, carries the growth
-        want = _scipy_zeros(model, initial, t_max)
+        count, last = _stored_scipy_zeros(name, model, initial, t_max)
         got = [z.t for z in count_zeros(traj)]
-        assert len(got) == len(want) > 0
-        assert abs(got[-1] - want[-1]) <= 1e-7
+        assert len(got) == count > 0
+        assert abs(got[-1] - last) <= 1e-7
 
     def test_report_zeros_match_scipy_dop853(self):
         # every solution of the example31 report, read off one matrix solve
@@ -480,9 +513,18 @@ class TestMovingFrame:
         report = oscillation_report(model, 12.0)
         assert len(report.solutions) == 8
         for s in report.solutions:
-            want = _scipy_zeros(model, s.initial, 12.0)
-            assert s.zero_count == len(want) > 0, s.label
-            assert abs(s.last_zero - want[-1]) <= 8e-8, s.label
+            count, last = _stored_scipy_zeros(f"example31_report_{s.label}", model, s.initial, 12.0)
+            assert s.zero_count == count > 0, s.label
+            assert abs(s.last_zero - last) <= 8e-8, s.label
+
+    @pytest.mark.parametrize("name", ["growth", "example31_report_combo1"])
+    def test_stored_zeros_are_scipys(self, name):
+        # the solve gives the stored zeros now, on two cases that take under a second
+        case = _scipy_cases()[name]
+        count, last = _stored_scipy_zeros(name, *case)
+        want = _scipy_zeros(*case)
+        assert count == len(want)
+        assert last == pytest.approx(want[-1], rel=1e-12)
 
     def test_attempted_step_ceilings(self):
         phi = integrate_third_order(get_fixture("example31").build_ode_model(), np.eye(3), 12.0)
@@ -595,3 +637,15 @@ class TestTableau:
         want |= {f"e{j + 1}" for j in range(7)}
         want |= {f"c{i + 1}" for i in range(1, 5)}
         assert want <= read
+
+
+if __name__ == "__main__":
+    stored = {}
+    for name, case in _scipy_cases().items():
+        zeros = _scipy_zeros(*case)
+        stored[name] = {"inputs": _scipy_inputs(*case), "count": len(zeros), "last_zero": zeros[-1]}
+        print(name, len(zeros), zeros[-1])
+    with open(SCIPY_ZEROS, "w", encoding="utf-8") as f:
+        json.dump(stored, f, indent=2, sort_keys=True)
+        f.write("\n")
+    sys.exit(0)
